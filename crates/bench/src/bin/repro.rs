@@ -172,14 +172,10 @@ fn write_artifact(dir: &str, file: &str, contents: &str) {
 
 /// The top-level `manifest.json` written to every `--trace`/`--json`
 /// directory: which experiments ran (in order) and the deterministic run
-/// configuration — worker threads, storage backend, shard count. The
-/// thread count documents the parallelism used; the artifacts themselves
-/// are byte-identical at any value of it.
+/// configuration — worker threads and shard count. The thread count
+/// documents the parallelism used; the artifacts themselves are
+/// byte-identical at any value of it.
 fn manifest_json(experiments: &[&str]) -> String {
-    let backend = match epidemic_db::Backend::from_env() {
-        epidemic_db::Backend::BTree => "btree",
-        epidemic_db::Backend::Flat => "flat",
-    };
     let mut o = JsonObject::new();
     // Experiment names come from the fixed in-tree list: no escaping.
     o.field_raw(
@@ -187,7 +183,6 @@ fn manifest_json(experiments: &[&str]) -> String {
         &array_of(experiments.iter().map(|name| format!("\"{name}\""))),
     )
     .field_u64("threads", epidemic_sim::runner::default_threads() as u64)
-    .field_str("backend", backend)
     .field_u64("shards", epidemic_sim::engine::default_shards() as u64);
     o.finish()
 }
@@ -351,6 +346,12 @@ fn main() {
             std::process::exit(2);
         }
         list.extend(matched);
+    }
+    if list.contains(&"fig-megascale") {
+        if let Err(e) = figures::megascale_max_n() {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
     if timings_path.is_some() {
         profile::enable();

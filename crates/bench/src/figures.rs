@@ -1346,12 +1346,18 @@ pub fn pull_vs_push_rate_table(trials: u64) -> FigTable {
 /// fast-path-only 10⁷ point.
 pub const MEGASCALE_MAX_N_ENV: &str = "EPIDEMIC_MEGASCALE_MAX_N";
 
-fn megascale_max_n() -> usize {
+/// The sweep cap from [`MEGASCALE_MAX_N_ENV`], 10⁶ when unset.
+///
+/// # Errors
+///
+/// A value that is not a non-negative integer, with a message naming the
+/// variable.
+pub fn megascale_max_n() -> Result<usize, String> {
     match std::env::var(MEGASCALE_MAX_N_ENV) {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{MEGASCALE_MAX_N_ENV} must be an integer, got {v:?}")),
-        Err(_) => 1_000_000,
+        Ok(v) => v.parse().map_err(|_| {
+            format!("{MEGASCALE_MAX_N_ENV} must be a non-negative integer, got {v:?}")
+        }),
+        Err(_) => Ok(1_000_000),
     }
 }
 
@@ -1502,8 +1508,14 @@ pub fn megascale_data(max_n: usize) -> (Vec<Vec<String>>, Vec<AggEntry>) {
 /// RSS delta) are volatile: present in the rendered text, dropped from
 /// the JSON artifact so `--trace`/`--json` output stays
 /// byte-reproducible.
+///
+/// # Panics
+///
+/// If [`megascale_max_n`] rejects the environment; `repro` checks it
+/// before running anything.
 pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
-    let (rows, aggregates) = megascale_data(megascale_max_n());
+    let max_n = megascale_max_n().unwrap_or_else(|e| panic!("{e}"));
+    let (rows, aggregates) = megascale_data(max_n);
     let table = FigTable::new(
         "Fig: megascale rumor epidemics (push, feedback, coin k=4) — \
          n x topology x path x storage backend",

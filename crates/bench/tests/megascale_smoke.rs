@@ -21,6 +21,7 @@
 
 #![cfg(feature = "count-allocs")]
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
@@ -32,6 +33,11 @@ use epidemic_sim::MegascaleSim;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The allocation counter is process-global, and the test harness runs
+/// tests on parallel threads: each test holds this lock for its whole
+/// body, so no test's count includes a sibling's allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const N: usize = 10_000;
 /// Generous even for an unoptimized single-CPU debug run; a release build
 /// finishes the whole test in a couple of seconds. The budget exists to
@@ -41,6 +47,7 @@ const BUDGET: Duration = Duration::from_secs(300);
 
 #[test]
 fn flat_backend_matches_btree_and_allocates_strictly_less() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let start = Instant::now();
     let sim = MegascaleSim::new();
     let seed = 1987 ^ N as u64;
@@ -86,6 +93,7 @@ fn flat_backend_matches_btree_and_allocates_strictly_less() {
 /// aggregate is bounded, not per-event).
 #[test]
 fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let start = Instant::now();
     let sim = MegascaleSim::new().workers(1);
     let seed = 1987 ^ N as u64;

@@ -3,7 +3,7 @@
 //! experiment — tables, figures, scenarios — must write `--trace`/`--json`
 //! artifacts (no experiment runs untraced), and each artifact directory
 //! must carry a `manifest.json` recording what ran and under which
-//! parallelism/backend knobs.
+//! parallelism knobs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -81,12 +81,7 @@ fn figures_write_artifacts_and_a_manifest() {
     assert!(rows.contains(r#""kind":"figure""#), "{rows}");
     let manifest = std::fs::read_to_string(dir.join("manifest.json"))
         .expect("manifest.json written next to the artifacts");
-    for key in [
-        "\"fig-line-traffic\"",
-        "\"threads\"",
-        "\"shards\"",
-        "\"backend\"",
-    ] {
+    for key in ["\"fig-line-traffic\"", "\"threads\"", "\"shards\""] {
         assert!(manifest.contains(key), "manifest records {key}: {manifest}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -214,6 +209,22 @@ fn megascale_honors_the_max_n_cap_and_still_writes_artifacts() {
     let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
     assert!(manifest.contains("\"fig-megascale\""), "{manifest}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_megascale_max_n_is_a_usage_error() {
+    for args in [&["fig-megascale"][..], &["--only", "fig-megascale"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .env("EPIDEMIC_MEGASCALE_MAX_N", "ten thousand")
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("EPIDEMIC_MEGASCALE_MAX_N"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs before the check");
+    }
 }
 
 #[test]

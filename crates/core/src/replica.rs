@@ -41,11 +41,10 @@ where
     K: Ord + Clone + Hash + Eq,
     V: Hash,
 {
-    /// Creates an empty replica for `site`, on the backend selected by the
-    /// `EPIDEMIC_BACKEND` environment variable
-    /// ([`Backend::from_env`](epidemic_db::Backend::from_env)).
+    /// Creates an empty replica for `site` on the flat storage backend
+    /// ([`FlatStore`](epidemic_db::FlatStore)).
     pub fn new(site: SiteId) -> Self {
-        Replica::with_backend(site, Backend::from_env())
+        Replica::with_backend(site, Backend::Flat)
     }
 
     /// Creates an empty replica for `site` on an explicit storage backend,

@@ -1,10 +1,11 @@
-//! The flat struct-of-arrays storage backend for million-site simulations.
+//! The flat storage backend: the store every [`Database`](crate::Database)
+//! builds unless a caller asks for the B-tree reference explicitly.
 //!
-//! [`FlatStore`] keeps the main store as one contiguous column of
-//! `(key, entry)` rows sorted ascending by `(timestamp, key)` — precisely
-//! the §1.3 peel-back order reversed. The recent-update list, the
-//! timestamp index and peel-back iteration are all *derived* from the
-//! column order by walking it backwards; nothing maintains a second tree.
+//! [`FlatStore`] keeps the main store as one `Vec` of `(key, entry)` rows
+//! — an array of structs — sorted ascending by `(timestamp, key)`:
+//! precisely the §1.3 peel-back order reversed. The recent-update list,
+//! the timestamp index and peel-back iteration are all *derived* from the
+//! row order by walking it backwards; nothing maintains a second tree.
 //! Key lookup goes through a small position index (`by_key`, row positions
 //! sorted by key) that only exists once the store holds two or more rows —
 //! a single-row site, the common case in epidemic spreading experiments,
@@ -12,12 +13,12 @@
 //!
 //! Cost model versus [`BTreeBackend`](crate::storage::BTreeBackend):
 //!
-//! * a site's first entry costs **one** allocation (the row column,
+//! * a site's first entry costs **one** allocation (the row vector,
 //!   `reserve_exact(1)`) instead of two tree nodes — at 10⁶ sites this is
 //!   the difference between one and two heap blocks per site, and the rows
 //!   are contiguous where tree nodes pointer-chase;
 //! * supersession of the newest entry (the steady-state epidemic path) is
-//!   a pop-and-push at the column tail, no rebalancing;
+//!   a pop-and-push at the row tail, no rebalancing;
 //! * worst-case mutation is `O(n)` per site (a `Vec` shift) — the trade is
 //!   deliberate: per-site databases in the megascale experiments hold a
 //!   handful of entries, while site *count* is huge.

@@ -11,12 +11,11 @@
 //!
 //! [`LazyTable`] inverts the construction: a site gets **no row at all
 //! until its first write**. Rows are appended in write order into three
-//! parallel columns (site, value, write cycle) — the same
-//! struct-of-arrays discipline as the flat backend
-//! ([`crate::flat::FlatStore`]), but shared by the entire fleet instead
-//! of instantiated per replica. Startup cost and resident footprint are
-//! both proportional to the number of sites that actually received
-//! something.
+//! parallel columns (site, value, write cycle) — a struct-of-arrays
+//! layout shared by the entire fleet, where the flat backend
+//! ([`crate::flat::FlatStore`]) keeps one row vector per replica.
+//! Startup cost and resident footprint are both proportional to the
+//! number of sites that actually received something.
 //!
 //! The table is deliberately minimal: one (implicit) key, first write
 //! wins, no deletions — exactly the shape of a single-update epidemic,

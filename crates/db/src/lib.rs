@@ -62,6 +62,6 @@ pub use item::{ApplyOutcome, Entry};
 pub use lazy::LazyTable;
 pub use peelback::PeelBackIndex;
 pub use recent::RecentUpdates;
-pub use storage::{Aux, BTreeBackend, Backend, Storage, BACKEND_ENV_VAR};
+pub use storage::{Aux, BTreeBackend, Backend, Storage};
 pub use store::{Database, OfferOutcome};
 pub use timestamp::{Clock, SimClock, SiteId, SkewedClock, Timestamp};

@@ -1,20 +1,18 @@
 //! The storage seam behind [`Database`](crate::Database): a [`Storage`]
-//! trait with the classic B-tree backend as reference implementation.
+//! trait with two backends.
 //!
 //! [`Database`](crate::Database) owns the protocol-visible invariants — the
 //! incremental [`Checksum`], the live-entry count and the dormant
 //! death-certificate side store — and delegates the main-store layout to a
-//! backend. Two backends ship:
+//! backend:
 //!
-//! * [`BTreeBackend`] — `BTreeMap<K, Entry<V>>` plus a
-//!   [`PeelBackIndex`], the historical layout. Fast
-//!   for rich keys and large per-site databases; every entry is a tree
-//!   node.
-//! * [`FlatStore`](crate::FlatStore) — a single flat column of rows sorted
-//!   by `(timestamp, key)`, with the peel-back/recent order *derived* from
-//!   the column order instead of maintained in a second tree. One heap
-//!   block per site at the million-site scale the `fig-megascale`
-//!   experiment sweeps.
+//! * [`FlatStore`](crate::FlatStore) — the store. One `Vec` of
+//!   `(key, entry)` rows sorted by `(timestamp, key)`, with the
+//!   peel-back/recent order *derived* from the row order instead of
+//!   maintained in a second tree. One heap block per single-entry site.
+//! * [`BTreeBackend`] — `BTreeMap<K, Entry<V>>` plus a [`PeelBackIndex`],
+//!   the historical layout, kept as the reference implementation. Only an
+//!   explicit [`Backend::BTree`] selects it.
 //!
 //! Both backends are observationally equivalent: every operation returns
 //! the same outcome, every iterator yields the same sequence, and the
@@ -28,64 +26,25 @@
 
 use std::collections::BTreeMap;
 use std::hash::Hash;
-use std::sync::OnceLock;
 
 use crate::checksum::Checksum;
 use crate::item::{ApplyOutcome, Entry};
 use crate::peelback::PeelBackIndex;
 use crate::timestamp::Timestamp;
 
-/// Environment variable selecting the default [`Backend`]
-/// (`btree` or `flat`); unset or empty means [`Backend::BTree`].
-pub const BACKEND_ENV_VAR: &str = "EPIDEMIC_BACKEND";
-
 /// Which main-store layout a [`Database`](crate::Database) uses.
 ///
-/// The default is [`Backend::BTree`], the reference implementation. Every
-/// constructor that does not take an explicit backend consults
-/// [`Backend::from_env`], so `EPIDEMIC_BACKEND=flat` flips an entire
-/// simulation run onto the flat layout without touching driver code — and
-/// because the backends are observationally equivalent, the run's output
-/// stays byte-identical.
+/// The default, and the layout every constructor without an explicit
+/// backend builds, is [`Backend::Flat`]. [`Backend::BTree`] selects the
+/// reference implementation, for differential tests and side-by-side
+/// comparisons in one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// `BTreeMap` entries plus a peel-back tree (the historical layout).
-    #[default]
+    /// `BTreeMap` entries plus a peel-back tree (the reference layout).
     BTree,
-    /// Flat timestamp-sorted columns ([`FlatStore`](crate::FlatStore)).
+    /// Timestamp-sorted rows ([`FlatStore`](crate::FlatStore)).
+    #[default]
     Flat,
-}
-
-impl Backend {
-    /// Parses a backend name as accepted by [`BACKEND_ENV_VAR`]:
-    /// `btree`, `flat`, or the empty string (the default backend).
-    /// Case-insensitive; returns `None` for anything else.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "" | "btree" => Some(Backend::BTree),
-            "flat" => Some(Backend::Flat),
-            _ => None,
-        }
-    }
-
-    /// The backend selected by [`BACKEND_ENV_VAR`], defaulting to
-    /// [`Backend::BTree`]. Read once and cached for the process lifetime,
-    /// so constructing a million replicas costs a million loads, not a
-    /// million environment probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set to an unknown name — a silently
-    /// ignored typo would invalidate a benchmark comparison.
-    pub fn from_env() -> Self {
-        static CACHE: OnceLock<Backend> = OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var(BACKEND_ENV_VAR) {
-            Ok(value) => Backend::parse(&value).unwrap_or_else(|| {
-                panic!("{BACKEND_ENV_VAR} must be \"btree\" or \"flat\", got {value:?}")
-            }),
-            Err(_) => Backend::BTree,
-        })
-    }
 }
 
 /// Mutable views of the [`Database`](crate::Database)-owned invariants a
@@ -304,16 +263,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_parse_accepts_known_names() {
-        assert_eq!(Backend::parse("btree"), Some(Backend::BTree));
-        assert_eq!(Backend::parse("FLAT"), Some(Backend::Flat));
-        assert_eq!(Backend::parse("  flat "), Some(Backend::Flat));
-        assert_eq!(Backend::parse(""), Some(Backend::BTree));
-        assert_eq!(Backend::parse("arena"), None);
-    }
-
-    #[test]
-    fn default_backend_is_btree() {
-        assert_eq!(Backend::default(), Backend::BTree);
+    fn default_backend_is_flat() {
+        assert_eq!(Backend::default(), Backend::Flat);
     }
 }

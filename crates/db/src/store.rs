@@ -24,11 +24,10 @@ use crate::timestamp::{Clock, SiteId, Timestamp};
 /// * a side store of *dormant* death certificates (§2.1) that are held but
 ///   neither counted in the checksum nor propagated.
 ///
-/// The main store itself lives behind a [`Backend`]: the reference
-/// `BTreeMap` layout or the flat column layout of
-/// [`FlatStore`] (see [`crate::storage`]). Backends are observationally
-/// equivalent; [`Database::new`] picks the one selected by the
-/// `EPIDEMIC_BACKEND` environment variable.
+/// The main store itself lives behind a [`Backend`]: the flat row layout
+/// of [`FlatStore`], which [`Database::new`] builds, or the reference
+/// `BTreeMap` layout (see [`crate::storage`]). Backends are
+/// observationally equivalent.
 ///
 /// # Example
 ///
@@ -135,16 +134,14 @@ where
     K: Ord + Clone + Hash,
     V: Hash,
 {
-    /// Creates an empty replica on the backend selected by the
-    /// `EPIDEMIC_BACKEND` environment variable ([`Backend::from_env`]);
-    /// the default is the reference B-tree layout.
+    /// Creates an empty replica on the [`FlatStore`] backend.
     pub fn new() -> Self {
-        Database::with_backend(Backend::from_env())
+        Database::with_backend(Backend::Flat)
     }
 
-    /// Creates an empty replica on an explicit storage backend,
-    /// independent of the environment — e.g. for side-by-side backend
-    /// comparisons in one process.
+    /// Creates an empty replica on an explicit storage backend — e.g. the
+    /// [`Backend::BTree`] reference for side-by-side backend comparisons
+    /// in one process.
     pub fn with_backend(backend: Backend) -> Self {
         let store = match backend {
             Backend::BTree => Store::BTree(BTreeBackend::new()),

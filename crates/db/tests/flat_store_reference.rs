@@ -8,8 +8,8 @@
 //! entry contents, live/dead counts, dormant death certificates, the
 //! incremental checksum, key-order iteration, peel-back order, the bare
 //! timestamp index and the recent-update window. This is the proof
-//! obligation that lets `EPIDEMIC_BACKEND=flat` claim byte-identical
-//! simulation output.
+//! obligation that lets the flat backend be the store every `Database`
+//! builds while simulation output stays byte-identical.
 
 use epidemic_db::{
     Backend, Clock, Database, Entry, GcPolicy, OfferOutcome, SimClock, SiteId, Timestamp,

@@ -47,6 +47,15 @@ impl LinkTraffic {
         routes.for_each_route_link(from, to, |l| self.counts[l.index()] += 1);
     }
 
+    /// Charges `units` to every link on the route `from → to` in a single
+    /// walk — the same counters as `units` calls to
+    /// [`record_route`](Self::record_route). Zero units walk nothing.
+    pub fn charge_route(&mut self, routes: &Routes, from: SiteId, to: SiteId, units: u64) {
+        if units > 0 {
+            routes.for_each_route_link(from, to, |l| self.counts[l.index()] += units);
+        }
+    }
+
     /// Charges one unit to a single link.
     pub fn record_link(&mut self, link: LinkId) {
         self.counts[link.index()] += 1;
@@ -124,6 +133,10 @@ mod tests {
         assert_eq!(t.at(l12), 2);
         assert_eq!(t.total(), 3);
         assert_eq!(t.hottest(), Some((l12, 2)));
+        // One walk charging 5 units, and a zero charge that walks nothing.
+        t.charge_route(&routes, s[2], s[0], 5);
+        t.charge_route(&routes, s[0], s[4], 0);
+        assert_eq!((t.at(l01), t.at(l12), t.total()), (6, 7, 13));
     }
 
     #[test]

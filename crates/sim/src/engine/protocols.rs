@@ -156,12 +156,11 @@ impl<'a> RouteRecorder<'a> {
     }
 
     /// Records one conversation `from → to` that shipped `update_units`
-    /// units of update traffic.
+    /// units of update traffic: one route walk per counter.
     pub fn record(&mut self, from: SiteId, to: SiteId, update_units: u64) {
-        self.compare.record_route(self.routes, from, to);
-        for _ in 0..update_units {
-            self.update.record_route(self.routes, from, to);
-        }
+        self.compare.charge_route(self.routes, from, to, 1);
+        self.update
+            .charge_route(self.routes, from, to, update_units);
     }
 
     /// The routing table the recorder charges against.
@@ -886,6 +885,31 @@ mod tests {
         // Spatial is imported to prove the recorder composes with any
         // sampler-driven run (the spatial drivers construct both).
         let _ = Spatial::Uniform;
+
+        // Differential against the naive spec: on every ordered site pair
+        // of the default CIN, the recorder's one-walk charge equals one
+        // `record_route` for the comparison plus `units` of them for the
+        // update traffic.
+        let net = topologies::cin(&topologies::CinConfig::default());
+        let routes = Routes::compute(&net.topology);
+        let links = net.topology.link_count();
+        let sites = net.topology.sites();
+        for units in [0, 1, 2, 7] {
+            let mut rec = RouteRecorder::new(&routes, links);
+            let mut compare = LinkTraffic::new(links);
+            let mut update = LinkTraffic::new(links);
+            for &from in sites {
+                for &to in sites {
+                    rec.record(from, to, units);
+                    compare.record_route(&routes, from, to);
+                    for _ in 0..units {
+                        update.record_route(&routes, from, to);
+                    }
+                }
+                assert_eq!(rec.compare, compare, "units={units} from={from:?}");
+                assert_eq!(rec.update, update, "units={units} from={from:?}");
+            }
+        }
     }
 
     #[test]

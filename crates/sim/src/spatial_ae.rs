@@ -383,13 +383,12 @@ impl ShardableProtocol for SpatialAntiEntropyProtocol<'_> {
         let ContactPair { i, a, j, b } = pair;
         let stats = ctx.exchange.exchange_with(a, b, &mut shard.scratch);
         let flowed = stats.update_flowed();
+        let (from, to) = (ctx.sites[i], ctx.sites[j]);
+        shard.compare.charge_route(ctx.routes, from, to, 1);
         shard
-            .compare
-            .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
+            .update
+            .charge_route(ctx.routes, from, to, u64::from(flowed));
         if flowed {
-            shard
-                .update
-                .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
             if a.db().entry(&KEY).is_some() {
                 shard.marks.push((i, cycle));
             }

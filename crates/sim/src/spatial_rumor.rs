@@ -367,10 +367,10 @@ impl ShardableProtocol for SpatialRumorProtocol<'_> {
         let ContactPair { i, a, j, b } = pair;
         let stats = rumor::contact_with(&ctx.cfg, a, b, rng, &mut shard.scratch);
         let (from, to) = (ctx.sites[i], ctx.sites[j]);
-        shard.compare.record_route(ctx.routes, from, to);
-        for _ in 0..stats.sent {
-            shard.update.record_route(ctx.routes, from, to);
-        }
+        shard.compare.charge_route(ctx.routes, from, to, 1);
+        shard
+            .update
+            .charge_route(ctx.routes, from, to, stats.sent as u64);
         match ctx.cfg.direction {
             Direction::Push => {
                 if stats.useful > 0 {

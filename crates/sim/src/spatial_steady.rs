@@ -327,14 +327,9 @@ impl ShardableProtocol for SpatialSteadyProtocol<'_> {
         if cycle > ctx.warmup {
             shard.exchanges += 1;
             shard.full_compares += u64::from(stats.full_compare);
-            shard
-                .compare
-                .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
-            for _ in 0..sent {
-                shard
-                    .update
-                    .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
-            }
+            let (from, to) = (ctx.sites[i], ctx.sites[j]);
+            shard.compare.charge_route(ctx.routes, from, to, 1);
+            shard.update.charge_route(ctx.routes, from, to, sent);
         }
         ContactStats { sent, useful: sent }
     }
