@@ -27,7 +27,7 @@
 //! file. `--json <dir>` writes the machine-readable rows
 //! (`<name>.rows.json`) plus the same `<name>.agg.json`. Both modes add
 //! a top-level `manifest.json` naming the experiments run and the
-//! threads / storage-backend / shard configuration. No artifact carries
+//! worker-thread count. No artifact carries
 //! wall-clock fields, so every written byte is identical at any
 //! `EPIDEMIC_THREADS`. `epidemic-analyze` consumes these artifacts.
 //!
@@ -124,7 +124,6 @@ const ALL: &[&str] = &[
     "fig-checksum-window",
     "fig-async",
     "fig-cin-steady",
-    "fig-cin-steady-sharded",
     "fig-megascale",
     "ablation-hierarchy",
     "ablation-weighted-cin",
@@ -171,9 +170,8 @@ fn write_artifact(dir: &str, file: &str, contents: &str) {
 }
 
 /// The top-level `manifest.json` written to every `--trace`/`--json`
-/// directory: which experiments ran (in order) and the deterministic run
-/// configuration — worker threads and shard count. The thread count
-/// documents the parallelism used; the artifacts themselves are
+/// directory: which experiments ran (in order) and the worker-thread
+/// count. The thread count documents the parallelism used; the artifacts themselves are
 /// byte-identical at any value of it.
 fn manifest_json(experiments: &[&str]) -> String {
     let mut o = JsonObject::new();
@@ -182,8 +180,7 @@ fn manifest_json(experiments: &[&str]) -> String {
         "experiments",
         &array_of(experiments.iter().map(|name| format!("\"{name}\""))),
     )
-    .field_u64("threads", epidemic_sim::runner::default_threads() as u64)
-    .field_u64("shards", epidemic_sim::engine::default_shards() as u64);
+    .field_u64("threads", epidemic_sim::runner::default_threads() as u64);
     o.finish()
 }
 

@@ -935,129 +935,6 @@ pub fn cin_steady_table(trials: u64) -> FigTable {
     )
 }
 
-/// The sharded-engine counterpart of [`cin_steady_table`]'s measurement:
-/// one row per spatial distribution, each trial run on the deterministic
-/// shard-parallel engine. Exposed (with explicit runner/shard/worker
-/// inputs) so the determinism suite can pin that the rendered rows are
-/// byte-identical at any worker count.
-pub fn cin_steady_sharded_rows(
-    runner: TrialRunner,
-    net: &topologies::Cin,
-    trials: u64,
-    shards: usize,
-    workers: usize,
-) -> Vec<Vec<String>> {
-    cin_steady_sharded_data(runner, net, trials, shards, workers).0
-}
-
-/// As [`cin_steady_sharded_rows`], additionally streaming every trial
-/// through an [`AggregateObserver`] — one merged entry per distribution.
-/// The aggregate is a pure function of `(seed, shards)` and never of
-/// `workers` or thread count, so the serialized bytes are identical at
-/// any parallelism budget.
-pub fn cin_steady_sharded_data(
-    runner: TrialRunner,
-    net: &topologies::Cin,
-    trials: u64,
-    shards: usize,
-    workers: usize,
-) -> (Vec<Vec<String>>, Vec<AggEntry>) {
-    use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
-    let config = SpatialSteadyConfig::default();
-    let mut rows = Vec::new();
-    let mut aggregates = Vec::new();
-    for (label, spatial) in [
-        ("uniform".to_string(), Spatial::Uniform),
-        ("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 }),
-        ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
-    ] {
-        let sim = SpatialSteadySim::new(&net.topology, spatial, config);
-        let (acc, agg) = crate::parallel_trials_with(
-            runner,
-            trials,
-            |seed| {
-                let mut sink = AggregateObserver::new();
-                let r = sim.run_sharded_observed(seed + 31, shards, workers, &mut sink);
-                (
-                    [
-                        r.conversations_per_link_cycle,
-                        r.entries_per_link_cycle,
-                        r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
-                        r.full_compare_rate,
-                    ],
-                    sink.finish(),
-                )
-            },
-            ([0.0f64; 4], RunAggregate::default()),
-            |(mut a, mut agg), (r, trial_agg)| {
-                for (x, v) in a.iter_mut().zip(r) {
-                    *x += v;
-                }
-                agg.merge(&trial_agg);
-                (a, agg)
-            },
-        );
-        let t = trials as f64;
-        rows.push(vec![
-            label.clone(),
-            fmt(acc[0] / t),
-            fmt(acc[1] / t),
-            fmt(acc[2] / t),
-            fmt(acc[3] / t),
-        ]);
-        aggregates.push(AggEntry {
-            label: label.clone(),
-            params: vec![
-                ("distribution".to_string(), label),
-                ("trials".to_string(), trials.to_string()),
-                ("shards".to_string(), shards.to_string()),
-            ],
-            observed: vec![
-                ("conversations_per_link_cycle".to_string(), acc[0] / t),
-                ("entries_per_link_cycle".to_string(), acc[1] / t),
-                ("entries_bushey_per_cycle".to_string(), acc[2] / t),
-                ("full_compare_rate".to_string(), acc[3] / t),
-            ],
-            agg,
-        });
-    }
-    (rows, aggregates)
-}
-
-/// [`cin_steady_sharded_data`] at the default shard count, the thread
-/// budget split between trial fan-out and per-trial shard workers so
-/// nesting never oversubscribes (a different RNG universe from
-/// [`cin_steady_table`] — numbers agree statistically, not
-/// byte-for-byte).
-pub fn cin_steady_sharded_default(trials: u64) -> (FigTable, Vec<AggEntry>) {
-    let net = cin(&CinConfig::default());
-    let shards = epidemic_sim::engine::default_shards();
-    let runner = TrialRunner::new();
-    let (trial_workers, shard_workers) = runner.split_budget(trials, shards);
-    let (rows, aggregates) = cin_steady_sharded_data(
-        runner.threads(trial_workers),
-        &net,
-        trials,
-        shards,
-        shard_workers,
-    );
-    let table = FigTable::new(
-        &format!(
-            "Steady state on the CIN (sharded engine, {shards} shards): \
-             recent-list anti-entropy, 2 updates/cycle"
-        ),
-        &[
-            "distribution",
-            "conv/link/cycle",
-            "entries/link/cycle",
-            "entries Bushey/cycle",
-            "full-compare rate",
-        ],
-        rows,
-    );
-    (table, aggregates)
-}
-
 /// Weighted-CIN ablation: modelling the transatlantic phone lines as
 /// high-cost links. `d`-seen distance pushes `Q_s(d)`'s sorted lists
 /// around, so Europe appears "farther" and crossing traffic falls further
@@ -1363,23 +1240,14 @@ pub fn megascale_max_n() -> Result<usize, String> {
 
 /// Fig-megascale: the paper's workhorse rumor variant (push, feedback,
 /// coin `k=4`) at 10⁴–10⁷ sites, on uniform complete mixing and on a
-/// Barabási–Albert scale-free contact graph (`m = 2`), crossed with the
-/// execution path.
-///
-/// The **fast** path (active-set contact loop, counter RNG, lazy site
-/// materialization — [`epidemic_sim::FastRumorProtocol`]) runs at every
-/// point; it is what makes 10⁶ cheap and 10⁷ feasible at all. The
-/// **legacy** eager path runs at `n = 10⁴` only, on both storage
-/// backends, to keep the before/after cost comparison in the table
-/// without paying eager materialization at 10⁵+. The two paths draw from
-/// different RNG contracts, so their protocol columns (residue,
-/// `t_last`, traffic, cycles) agree statistically, not bit-for-bit; the
-/// legacy backends are observationally equivalent to each other, so
-/// their protocol columns are identical and only the cost columns
-/// differ. The allocations column needs the `count-allocs` build (it
-/// reads "n/a" otherwise), and the RSS column is the per-point delta of
-/// the process high-water mark — how far this row pushed the peak, 0 if
-/// it fit inside an earlier row's footprint (see [`crate::rss`]).
+/// Barabási–Albert scale-free contact graph (`m = 2`), run on the fast
+/// path (active-set contact loop, counter RNG, lazy site
+/// materialization — [`epidemic_sim::FastRumorProtocol`]), which is what
+/// makes 10⁶ cheap and 10⁷ feasible at all. The allocations column needs
+/// the `count-allocs` build (it reads "n/a" otherwise), and the RSS
+/// column is the per-point delta of the process high-water mark — how
+/// far this row pushed the peak, 0 if it fit inside an earlier row's
+/// footprint (see [`crate::rss`]).
 pub fn megascale(max_n: usize) -> Vec<Vec<String>> {
     megascale_data(max_n).0
 }
@@ -1389,8 +1257,6 @@ pub fn megascale(max_n: usize) -> Vec<Vec<String>> {
 fn megascale_point(
     n: usize,
     topology: &str,
-    path: &str,
-    backend_name: &str,
     rows: &mut Vec<Vec<String>>,
     aggregates: &mut Vec<AggEntry>,
     run: impl FnOnce(&mut AggregateObserver) -> epidemic_sim::EpidemicResult,
@@ -1406,8 +1272,6 @@ fn megascale_point(
     rows.push(vec![
         n.to_string(),
         topology.to_string(),
-        path.to_string(),
-        backend_name.to_string(),
         fmt(r.residue),
         fmt(r.t_last),
         fmt(r.traffic),
@@ -1421,12 +1285,10 @@ fn megascale_point(
         (rss_delta_kb / 1024).to_string(),
     ]);
     aggregates.push(AggEntry {
-        label: format!("n={n} {topology} {path} {backend_name}"),
+        label: format!("n={n} {topology}"),
         params: vec![
             ("n".to_string(), n.to_string()),
             ("topology".to_string(), topology.to_string()),
-            ("path".to_string(), path.to_string()),
-            ("backend".to_string(), backend_name.to_string()),
         ],
         observed: vec![
             ("residue".to_string(), r.residue),
@@ -1440,12 +1302,11 @@ fn megascale_point(
 
 /// As [`megascale`], streaming every run through an
 /// [`AggregateObserver`] — bounded memory even at n = 10⁷ — and
-/// returning one entry per `(n, topology, path, backend)` point. The
+/// returning one entry per `(n, topology)` point. The
 /// aggregate carries no wall-clock fields; the cost columns (seconds,
 /// allocations, RSS delta) live only in the rendered rows and are marked
 /// volatile in [`megascale_fig`]'s JSON export.
 pub fn megascale_data(max_n: usize) -> (Vec<Vec<String>>, Vec<AggEntry>) {
-    use epidemic_db::Backend;
     use epidemic_net::DegreeGraph;
     use epidemic_sim::MegascaleSim;
 
@@ -1457,8 +1318,6 @@ pub fn megascale_data(max_n: usize) -> (Vec<Vec<String>>, Vec<AggEntry>) {
             continue;
         }
         for scale_free in [false, true] {
-            // One graph per (n, topology) point, shared across paths and
-            // backends so the runs contact the same neighborhoods.
             let graph = scale_free.then(|| DegreeGraph::scale_free(n, 2, 1987));
             let seed = 1987 ^ n as u64;
             let topology = if scale_free {
@@ -1466,31 +1325,9 @@ pub fn megascale_data(max_n: usize) -> (Vec<Vec<String>>, Vec<AggEntry>) {
             } else {
                 "uniform"
             };
-            if n == 10_000 {
-                for backend in [Backend::BTree, Backend::Flat] {
-                    let backend_name = match backend {
-                        Backend::BTree => "btree",
-                        Backend::Flat => "flat",
-                    };
-                    megascale_point(
-                        n,
-                        topology,
-                        "legacy",
-                        backend_name,
-                        &mut rows,
-                        &mut aggregates,
-                        |sink| match &graph {
-                            Some(g) => sim.run_scale_free_observed(g, seed, backend, sink),
-                            None => sim.run_uniform_observed(n, seed, backend, sink),
-                        },
-                    );
-                }
-            }
             megascale_point(
                 n,
                 topology,
-                "fast",
-                "lazy",
                 &mut rows,
                 &mut aggregates,
                 |sink| match &graph {
@@ -1517,13 +1354,10 @@ pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
     let max_n = megascale_max_n().unwrap_or_else(|e| panic!("{e}"));
     let (rows, aggregates) = megascale_data(max_n);
     let table = FigTable::new(
-        "Fig: megascale rumor epidemics (push, feedback, coin k=4) — \
-         n x topology x path x storage backend",
+        "Fig: megascale rumor epidemics (push, feedback, coin k=4) — n x topology",
         &[
             "n",
             "topology",
-            "path",
-            "backend",
             "residue",
             "t_last",
             "traffic m",
@@ -1534,7 +1368,7 @@ pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
         ],
         rows,
     )
-    .volatile(&[8, 9, 10]);
+    .volatile(&[6, 7, 8]);
     (table, aggregates)
 }
 
@@ -1620,7 +1454,6 @@ pub fn figure_data(runner: TrialRunner, name: &str, n: usize, mix_trials: u64) -
         "fig-checksum-window" => FigData::table(checksum_window_table()),
         "fig-async" => FigData::table(async_ablation_table(50)),
         "fig-cin-steady" => FigData::table(cin_steady_table(20)),
-        "fig-cin-steady-sharded" => FigData::with_aggregates(cin_steady_sharded_default(20)),
         "fig-megascale" => FigData::with_aggregates(megascale_fig()),
         "ablation-hierarchy" => FigData::table(hierarchy_table(50)),
         "ablation-weighted-cin" => FigData::table(weighted_cin_table(50)),

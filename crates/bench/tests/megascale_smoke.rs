@@ -4,7 +4,8 @@
 //! This pins the tentpole's load-bearing claims at a size CI can
 //! afford:
 //!
-//! * the flat backend runs the *same epidemic* as the BTree backend
+//! * on the eager [`reference`] loop, which builds a real replica per
+//!   site, the flat backend runs the *same epidemic* as the BTree backend
 //!   (identical `EpidemicResult` on the same seed),
 //! * it asks the allocator for strictly less while doing so, and
 //! * the fast path plus streaming aggregation allocates *sublinearly* in
@@ -28,6 +29,7 @@ use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
 use epidemic_db::Backend;
 use epidemic_net::DegreeGraph;
 use epidemic_sim::engine::AggregateObserver;
+use epidemic_sim::megascale::reference;
 use epidemic_sim::MegascaleSim;
 
 #[global_allocator]
@@ -39,6 +41,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const N: usize = 10_000;
+/// Coin loss rate of fig-megascale's protocol (push, feedback, coin k=4).
+const K: u32 = 4;
 /// Generous even for an unoptimized single-CPU debug run; a release build
 /// finishes the whole test in a couple of seconds. The budget exists to
 /// catch complexity regressions (an accidentally quadratic path at 10⁴
@@ -49,15 +53,14 @@ const BUDGET: Duration = Duration::from_secs(300);
 fn flat_backend_matches_btree_and_allocates_strictly_less() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let start = Instant::now();
-    let sim = MegascaleSim::new();
     let seed = 1987 ^ N as u64;
 
     let before = allocations();
-    let tree = sim.run_uniform(N, seed, Backend::BTree);
+    let tree = reference::run_uniform(N, K, seed, Backend::BTree).result;
     let tree_allocs = allocations() - before;
 
     let before = allocations();
-    let flat = sim.run_uniform(N, seed, Backend::Flat);
+    let flat = reference::run_uniform(N, K, seed, Backend::Flat).result;
     let flat_allocs = allocations() - before;
 
     // Same seed, same RNG stream, observationally equivalent storage:
@@ -73,8 +76,8 @@ fn flat_backend_matches_btree_and_allocates_strictly_less() {
     // Scale-free topology exercises the NeighborPartners + DegreeGraph
     // path the big sweep uses; same equivalence requirement.
     let graph = DegreeGraph::scale_free(N, 2, 1987);
-    let tree = sim.run_scale_free(&graph, seed, Backend::BTree);
-    let flat = sim.run_scale_free(&graph, seed, Backend::Flat);
+    let tree = reference::run_scale_free(&graph, K, seed, Backend::BTree).result;
+    let flat = reference::run_scale_free(&graph, K, seed, Backend::Flat).result;
     assert_eq!(tree, flat, "backends diverged on the scale-free epidemic");
 
     let elapsed = start.elapsed();
@@ -87,8 +90,8 @@ fn flat_backend_matches_btree_and_allocates_strictly_less() {
 /// The fast path's memory claim, in allocator terms: a full fast-path
 /// epidemic at `n = 10⁴`, streamed through an [`AggregateObserver`],
 /// allocates strictly fewer than one heap allocation per site. The
-/// legacy path cannot do this — it materializes a replica per site
-/// before the first contact — so this bound is what "lazy site
+/// eager reference loop cannot do this — it materializes a replica per
+/// site before the first contact — so this bound is what "lazy site
 /// materialization" buys, and it holds for the observer too (the
 /// aggregate is bounded, not per-event).
 #[test]

@@ -81,7 +81,7 @@ fn figures_write_artifacts_and_a_manifest() {
     assert!(rows.contains(r#""kind":"figure""#), "{rows}");
     let manifest = std::fs::read_to_string(dir.join("manifest.json"))
         .expect("manifest.json written next to the artifacts");
-    for key in ["\"fig-line-traffic\"", "\"threads\"", "\"shards\""] {
+    for key in ["\"fig-line-traffic\"", "\"threads\""] {
         assert!(manifest.contains(key), "manifest records {key}: {manifest}");
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -218,9 +218,8 @@ pub mod rngs {
     ///
     /// * a contact loop may iterate **only the active sites, in any
     ///   order**, and still replay bit-identically;
-    /// * shard-parallel execution is byte-identical to sequential
-    ///   execution by construction — there is no per-shard stream to
-    ///   keep in sync.
+    /// * a parallel draw phase is byte-identical to a sequential one by
+    ///   construction — there is no shared stream to keep in sync.
     ///
     /// The stream origin hashes the triple through three finalizer
     /// rounds (one per coordinate); successive draws then walk the

@@ -25,10 +25,7 @@ use epidemic_net::{LinkTraffic, Routes};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use super::{
-    ContactPair, ContactStats, EpidemicProtocol, Roster, ShardableProtocol, SirCounts, SirView,
-    UniformPartners,
-};
+use super::{ContactStats, EpidemicProtocol, Roster, SirCounts, SirView, UniformPartners};
 use crate::bitset::BitSet;
 use crate::engine::PartnerPolicy;
 use crate::util::pair_mut;
@@ -401,146 +398,6 @@ impl EpidemicProtocol for MixingProtocol {
     }
 }
 
-/// Read-only cycle context for the sharded mixing path: configuration and
-/// the start-of-cycle snapshots captured by `begin_cycle`.
-pub struct MixingCtx<'p> {
-    cfg: &'p RumorConfig,
-    synchronous: bool,
-    state0: &'p BitSet,
-    hot0: &'p BitSet,
-}
-
-/// Per-shard accumulator for the sharded mixing path: one rumor scratch
-/// per shard (PR 4's buffer-reuse discipline, now shard-owned) plus the
-/// deferred receive-log marks.
-pub struct MixingShard {
-    scratch: RumorScratch<u32>,
-    marks: Vec<(usize, u32)>,
-}
-
-impl ShardableProtocol for MixingProtocol {
-    type Site = Replica<u32, u32>;
-    type Ctx<'p> = MixingCtx<'p>;
-    type Shard = MixingShard;
-
-    fn make_shard(&self) -> MixingShard {
-        MixingShard {
-            scratch: RumorScratch::new(),
-            marks: Vec::new(),
-        }
-    }
-
-    fn split(&mut self) -> (MixingCtx<'_>, &mut [Replica<u32, u32>]) {
-        (
-            MixingCtx {
-                cfg: &self.cfg,
-                synchronous: self.synchronous,
-                state0: &self.state0,
-                hot0: &self.hot0,
-            },
-            &mut self.sites,
-        )
-    }
-
-    fn contact_sharded(
-        ctx: &MixingCtx<'_>,
-        shard: &mut MixingShard,
-        cycle: u32,
-        pair: ContactPair<'_, Replica<u32, u32>>,
-        rng: &mut StdRng,
-    ) -> ContactStats {
-        let ContactPair { i, a, j, b } = pair;
-        match ctx.cfg.direction {
-            Direction::Push => {
-                if ctx.synchronous {
-                    let Some(entry) = a.db().entry(&KEY).cloned() else {
-                        a.hot_mut().remove(&KEY);
-                        return ContactStats::default();
-                    };
-                    let applied = b.receive_rumor(KEY, entry).was_useful();
-                    rumor::record_feedback(ctx.cfg, a, &KEY, !ctx.state0.get(j), rng);
-                    if applied {
-                        shard.marks.push((j, cycle));
-                    }
-                    ContactStats {
-                        sent: 1,
-                        useful: u64::from(applied),
-                    }
-                } else {
-                    let stats =
-                        rumor::push_contact_with(ctx.cfg, a, b, rng, &mut shard.scratch.a_keys);
-                    if stats.useful > 0 {
-                        shard.marks.push((j, cycle));
-                    }
-                    stats.into()
-                }
-            }
-            Direction::Pull => {
-                let (requester, source) = (a, b);
-                if ctx.synchronous {
-                    if !ctx.hot0.get(j) {
-                        return ContactStats::default();
-                    }
-                    let Some(entry) = source.db().entry(&KEY).cloned() else {
-                        return ContactStats::default();
-                    };
-                    let applied = requester.receive_rumor(KEY, entry).was_useful();
-                    let needed = match ctx.cfg.feedback {
-                        Feedback::Feedback => !ctx.state0.get(i),
-                        Feedback::Blind => false,
-                    };
-                    match ctx.cfg.removal {
-                        Removal::Counter { .. } => {
-                            source.hot_mut().record_pending(&KEY, needed);
-                        }
-                        Removal::Coin { .. } => {
-                            rumor::record_feedback(ctx.cfg, source, &KEY, needed, rng);
-                        }
-                    }
-                    if applied {
-                        shard.marks.push((i, cycle));
-                    }
-                    ContactStats {
-                        sent: 1,
-                        useful: u64::from(applied),
-                    }
-                } else {
-                    let stats = rumor::pull_contact_with(
-                        ctx.cfg,
-                        requester,
-                        source,
-                        rng,
-                        &mut shard.scratch.b_keys,
-                    );
-                    if stats.useful > 0 {
-                        shard.marks.push((i, cycle));
-                    }
-                    stats.into()
-                }
-            }
-            Direction::PushPull => {
-                let stats = rumor::push_pull_contact_with(ctx.cfg, a, b, rng, &mut shard.scratch);
-                if a.db().entry(&KEY).is_some() {
-                    shard.marks.push((i, cycle));
-                }
-                if b.db().entry(&KEY).is_some() {
-                    shard.marks.push((j, cycle));
-                }
-                stats.into()
-            }
-        }
-    }
-
-    fn absorb(&mut self, shard: &mut MixingShard) {
-        // Every mark in a cycle carries the same cycle value and
-        // `ReceiveLog::mark` keeps the first receipt, so drain order
-        // across shards cannot change the recorded times.
-        for (site, cycle) in shard.marks.drain(..) {
-            self.received.mark(site, cycle);
-        }
-    }
-}
-
 impl SirView for MixingProtocol {
     fn sir_counts(&self) -> SirCounts {
         let infective = self.sites.iter().filter(|r| !r.hot().is_empty()).count();
@@ -606,63 +463,6 @@ impl EpidemicProtocol for BitAntiEntropyProtocol {
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
         let n = self.infected.len();
         self.trace.push((n - self.count) as f64 / n as f64);
-    }
-}
-
-/// Read-only cycle context for the sharded bit-anti-entropy path.
-pub struct BitAeCtx<'p> {
-    direction: Direction,
-    snapshot: &'p BitSet,
-}
-
-impl ShardableProtocol for BitAntiEntropyProtocol {
-    type Site = bool;
-    type Ctx<'p> = BitAeCtx<'p>;
-    /// Newly infected sites charged by this shard's contacts.
-    type Shard = usize;
-
-    fn make_shard(&self) -> usize {
-        0
-    }
-
-    fn split(&mut self) -> (BitAeCtx<'_>, &mut [bool]) {
-        (
-            BitAeCtx {
-                direction: self.direction,
-                snapshot: &self.snapshot,
-            },
-            &mut self.infected,
-        )
-    }
-
-    fn contact_sharded(
-        ctx: &BitAeCtx<'_>,
-        shard: &mut usize,
-        _cycle: u32,
-        pair: ContactPair<'_, bool>,
-        _rng: &mut StdRng,
-    ) -> ContactStats {
-        let ContactPair { i, a, j, b } = pair;
-        let mut useful = 0;
-        if ctx.direction.pushes() && ctx.snapshot.get(i) && !*b {
-            *b = true;
-            *shard += 1;
-            useful += 1;
-        }
-        if ctx.direction.pulls() && ctx.snapshot.get(j) && !*a {
-            *a = true;
-            *shard += 1;
-            useful += 1;
-        }
-        ContactStats {
-            sent: useful,
-            useful,
-        }
-    }
-
-    fn absorb(&mut self, shard: &mut usize) {
-        self.count += *shard;
-        *shard = 0;
     }
 }
 
@@ -751,60 +551,6 @@ impl EpidemicProtocol for DirectMailProtocol {
         ContactStats {
             sent: 1,
             useful: u64::from(useful),
-        }
-    }
-}
-
-/// Per-shard accumulator for the sharded direct-mail path: mails charged
-/// against the budget plus the deferred receive-log marks.
-#[derive(Debug, Default)]
-pub struct DirectMailShard {
-    mailed: u32,
-    marks: Vec<(usize, u32)>,
-}
-
-impl ShardableProtocol for DirectMailProtocol {
-    type Site = Replica<u32, u32>;
-    type Ctx<'p> = ();
-    type Shard = DirectMailShard;
-
-    fn make_shard(&self) -> DirectMailShard {
-        DirectMailShard::default()
-    }
-
-    fn split(&mut self) -> ((), &mut [Replica<u32, u32>]) {
-        ((), &mut self.sites)
-    }
-
-    fn contact_sharded(
-        _ctx: &(),
-        shard: &mut DirectMailShard,
-        cycle: u32,
-        pair: ContactPair<'_, Replica<u32, u32>>,
-        _rng: &mut StdRng,
-    ) -> ContactStats {
-        shard.mailed += 1;
-        let entry = pair
-            .a
-            .db()
-            .entry(&Self::KEY)
-            .cloned()
-            .expect("the origin holds the update it mails");
-        let useful = pair.b.receive_rumor(Self::KEY, entry).was_useful();
-        if useful {
-            shard.marks.push((pair.j, cycle));
-        }
-        ContactStats {
-            sent: 1,
-            useful: u64::from(useful),
-        }
-    }
-
-    fn absorb(&mut self, shard: &mut DirectMailShard) {
-        self.remaining = self.remaining.saturating_sub(shard.mailed);
-        shard.mailed = 0;
-        for (site, cycle) in shard.marks.drain(..) {
-            self.received.mark(site, cycle);
         }
     }
 }

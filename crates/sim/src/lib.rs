@@ -15,9 +15,9 @@
 //!   pathology demonstrations;
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
 //!   uniform and scale-free topologies: the active-set fast path
-//!   ([`FastRumorProtocol`] on [`engine::ActiveCycleEngine`]) plus the
-//!   legacy eager path parameterised by storage backend (the
-//!   fig-megascale sweep);
+//!   ([`FastRumorProtocol`] on [`engine::ActiveCycleEngine`]) behind the
+//!   fig-megascale sweep, plus its executable spec
+//!   [`megascale::reference`];
 //! * [`scenario`] — the declarative scenario subsystem: a parsed
 //!   [`scenario::Scenario`] spec (site count, protocol, weighted workload
 //!   mix, fault-event timeline) lowered onto the cycle engine by

@@ -8,29 +8,27 @@
 //! single-update rumor epidemic at that scale:
 //!
 //! * **uniform** — complete mixing, the Tables 1–3 model, via
-//!   [`UniformPartners`];
+//!   [`UniformPartners`](crate::engine::UniformPartners);
 //! * **scale-free** — partners drawn uniformly from the initiator's
 //!   neighbors on a Barabási–Albert [`DegreeGraph`], via
-//!   [`NeighborPartners`].
+//!   [`NeighborPartners`](crate::engine::NeighborPartners).
 //!
 //! The protocol is fixed at the paper's workhorse variant — push, feedback,
-//! coin removal with `k = 4` — so the sweep varies only scale, topology and
-//! storage [`Backend`]. Replicas are constructed on an explicit backend
-//! ([`Replica::with_backend`]); running the same `(n, topology, seed)`
-//! point on both backends is the apples-to-apples comparison behind the
-//! flat-storage claims, and the backends' observational equivalence means
-//! the two runs produce identical results (only speed and footprint
-//! differ).
+//! coin removal with `k = 4` — so the sweep varies only scale and
+//! topology.
 //!
 //! # The fast path
 //!
-//! The legacy runner above pays two costs proportional to `n` every run:
+//! The same epidemic on the sequential engine —
+//! [`RumorEpidemic`](crate::mixing::RumorEpidemic) with
+//! `synchronous(false)` — pays two costs proportional to `n` every run:
 //! it materializes a full [`Replica`] per site before the first contact,
-//! and the [`CycleEngine`]'s sequential RNG forces a full-roster walk
-//! every cycle. Both are pure overhead for a single-update epidemic,
-//! where a susceptible site holds no data and an idle site draws nothing.
+//! and the [`CycleEngine`](crate::engine::CycleEngine)'s sequential RNG
+//! forces a full-roster walk every cycle. Both are pure overhead for a
+//! single-update epidemic, where a susceptible site holds no data and an
+//! idle site draws nothing.
 //!
-//! [`FastRumorProtocol`] + [`ActiveCycleEngine`] replace them:
+//! [`FastRumorProtocol`] + [`ActiveCycleEngine`] remove them:
 //!
 //! * per-site state is three bits (`has_entry`, `hot`, and their
 //!   start-of-cycle snapshots) plus a [`LazyTable`] row materialized at
@@ -38,34 +36,31 @@
 //! * contacts draw from the counter-based
 //!   [`rand::rngs::ContactRng`], a pure function of
 //!   `(seed, cycle, site)`, so the engine visits only the hot sites and
-//!   shards the cycle across worker threads with byte-identical output
-//!   at any worker count;
-//! * contacts keep the legacy loop's *asynchronous* judgment — a push is
-//!   useful iff the partner lacks the entry at execution time, so two
-//!   pushes reaching the same susceptible site in one cycle score one
-//!   useful and one fruitless-plus-coin-toss, exactly as before. The
-//!   engine's draw/apply split makes that compatible with parallelism:
-//!   random choices (partner, coin) are sampled in parallel from each
-//!   contact's private stream, then executed sequentially in ascending
-//!   initiator order. The one semantic deviation from the legacy runner
-//!   is that order — ascending instead of shuffled — plus the RNG
-//!   contract itself; the fast path is pinned exactly against
-//!   [`mod@reference`] (same contract, naive eager loop) by the differential
-//!   suites, and statistically (5σ) against the legacy runner where the
+//!   splits each cycle's draws across worker threads with byte-identical
+//!   output at any worker count;
+//! * contacts keep the sequential engine's *asynchronous* judgment — a
+//!   push is useful iff the partner lacks the entry at execution time, so
+//!   two pushes reaching the same susceptible site in one cycle score one
+//!   useful and one fruitless-plus-coin-toss. The engine's draw/apply
+//!   split makes that compatible with parallelism: random choices
+//!   (partner, coin) are sampled in parallel from each contact's private
+//!   stream, then executed sequentially in ascending initiator order. The
+//!   one semantic deviation from `RumorEpidemic` is that order —
+//!   ascending instead of shuffled — plus the RNG contract itself; the
+//!   fast path is pinned exactly against [`mod@reference`] (same
+//!   contract, naive eager loop over real replicas) by the differential
+//!   suites, and statistically (5σ) against `RumorEpidemic` where the
 //!   contract legitimately differs.
 
-use epidemic_core::rumor::{RumorConfig, RumorScratch};
-use epidemic_core::{Direction, Feedback, Removal, Replica};
+use epidemic_core::Replica;
 use epidemic_db::{Backend, LazyTable, SiteId};
 use epidemic_net::DegreeGraph;
-use rand::rngs::{ContactRng, StdRng};
-use rand::{RngExt, SeedableRng};
+use rand::rngs::ContactRng;
+use rand::RngExt;
 
 use crate::bitset::BitSet;
-use crate::engine::protocols::{MixingProtocol, ReceiveLog};
 use crate::engine::{
-    ActiveCycleEngine, ActiveSetProtocol, ContactStats, CycleEngine, EngineReport,
-    NeighborPartners, Observer, PartnerPolicy, SirCounts, SirView, UniformPartners,
+    ActiveCycleEngine, ActiveSetProtocol, ContactStats, EngineReport, Observer, SirCounts, SirView,
 };
 use crate::mixing::EpidemicResult;
 
@@ -75,7 +70,7 @@ const KEY: u32 = 0;
 /// Single-update rumor epidemics at 10⁴–10⁶ sites; see the module docs.
 #[derive(Debug, Clone, Copy)]
 pub struct MegascaleSim {
-    cfg: RumorConfig,
+    k: u32,
     max_cycles: u32,
     workers: Option<usize>,
 }
@@ -92,7 +87,7 @@ impl MegascaleSim {
     /// variation is scale and topology.
     pub fn new() -> Self {
         MegascaleSim {
-            cfg: RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Coin { k: 4 }),
+            k: 4,
             max_cycles: 100_000,
             workers: None,
         }
@@ -105,127 +100,13 @@ impl MegascaleSim {
         self
     }
 
-    /// Worker threads for the fast path's contact loop (default: the
-    /// [`EPIDEMIC_THREADS`](crate::runner::THREADS_ENV_VAR) setting). Any
-    /// value produces byte-identical results; the legacy runner ignores
-    /// this.
+    /// Worker threads for the draw phase of the contact loop (default:
+    /// the [`EPIDEMIC_THREADS`](crate::runner::THREADS_ENV_VAR) setting).
+    /// Any value produces byte-identical results.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
-    }
-
-    /// The coin-removal loss rate `k` of the fixed sweep protocol.
-    fn coin_k(&self) -> u32 {
-        match self.cfg.removal {
-            Removal::Coin { k } => k,
-            Removal::Counter { .. } => unreachable!("megascale protocol is coin removal"),
-        }
-    }
-
-    /// One epidemic over `n` uniformly mixing sites on `backend` storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_uniform(&self, n: usize, seed: u64, backend: Backend) -> EpidemicResult {
-        self.run_uniform_observed(n, seed, backend, &mut ())
-    }
-
-    /// As [`MegascaleSim::run_uniform`], streaming the run through
-    /// `observer` (e.g. an
-    /// [`AggregateObserver`](crate::engine::AggregateObserver), whose
-    /// bounded memory is what makes observing n=10⁶ affordable).
-    /// Observers never touch the RNG, so the [`EpidemicResult`] is
-    /// identical to the unobserved run's.
-    pub fn run_uniform_observed<O: Observer<MixingProtocol>>(
-        &self,
-        n: usize,
-        seed: u64,
-        backend: Backend,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        self.run_with_policy(n, &UniformPartners::new(n), seed, backend, observer)
-    }
-
-    /// One epidemic over the sites of `graph`, each initiator gossiping
-    /// with a uniform random neighbor, on `backend` storage. The update
-    /// starts at site 0 — a member of the Barabási–Albert seed clique, so
-    /// scale-free runs start from the well-connected core.
-    pub fn run_scale_free(
-        &self,
-        graph: &DegreeGraph,
-        seed: u64,
-        backend: Backend,
-    ) -> EpidemicResult {
-        self.run_scale_free_observed(graph, seed, backend, &mut ())
-    }
-
-    /// As [`MegascaleSim::run_scale_free`], streaming the run through
-    /// `observer` (see [`MegascaleSim::run_uniform_observed`]).
-    pub fn run_scale_free_observed<O: Observer<MixingProtocol>>(
-        &self,
-        graph: &DegreeGraph,
-        seed: u64,
-        backend: Backend,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        self.run_with_policy(
-            graph.site_count(),
-            &NeighborPartners::new(graph),
-            seed,
-            backend,
-            observer,
-        )
-    }
-
-    fn run_with_policy<L: PartnerPolicy + ?Sized, O: Observer<MixingProtocol>>(
-        &self,
-        n: usize,
-        policy: &L,
-        seed: u64,
-        backend: Backend,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| {
-                Replica::with_backend(
-                    SiteId::new(u32::try_from(i).expect("site count fits u32")),
-                    backend,
-                )
-            })
-            .collect();
-        sites[0].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(0, 0);
-
-        let mut protocol = MixingProtocol {
-            cfg: self.cfg,
-            synchronous: false,
-            sites,
-            received,
-            state0: BitSet::new(n),
-            hot0: BitSet::new(n),
-            scratch: RumorScratch::new(),
-        };
-        let report = CycleEngine::new().max_cycles(self.max_cycles).run(
-            &mut protocol,
-            policy,
-            &mut rng,
-            observer,
-        );
-
-        let received = protocol.received;
-        EpidemicResult {
-            n,
-            residue: received.residue(),
-            traffic: report.totals.sent as f64 / n as f64,
-            t_ave: received.t_ave_received(),
-            t_last: f64::from(received.t_last().unwrap_or(0)),
-            cycles: report.cycles,
-            complete: received.complete(),
-        }
     }
 
     /// One epidemic over `n` uniformly mixing sites on the fast path —
@@ -249,14 +130,15 @@ impl MegascaleSim {
         seed: u64,
         observer: &mut O,
     ) -> EpidemicResult {
-        let mut protocol = FastRumorProtocol::uniform(n, self.coin_k());
+        let mut protocol = FastRumorProtocol::uniform(n, self.k);
         let report = self.active_engine().run(&mut protocol, seed, observer);
         protocol.result(&report)
     }
 
     /// One epidemic over the sites of `graph` on the fast path, each
-    /// initiator gossiping with a uniform random neighbor (see
-    /// [`MegascaleSim::run_scale_free`] for the topology conventions).
+    /// initiator gossiping with a uniform random neighbor. The update
+    /// starts at site 0 — a member of the Barabási–Albert seed clique, so
+    /// scale-free runs start from the well-connected core.
     pub fn run_scale_free_fast(&self, graph: &DegreeGraph, seed: u64) -> EpidemicResult {
         self.run_scale_free_fast_observed(graph, seed, &mut ())
     }
@@ -269,7 +151,7 @@ impl MegascaleSim {
         seed: u64,
         observer: &mut O,
     ) -> EpidemicResult {
-        let mut protocol = FastRumorProtocol::scale_free(graph, self.coin_k());
+        let mut protocol = FastRumorProtocol::scale_free(graph, self.k);
         let report = self.active_engine().run(&mut protocol, seed, observer);
         protocol.result(&report)
     }
@@ -284,7 +166,8 @@ impl MegascaleSim {
 }
 
 /// Where the fast path's partners come from. Draw-for-draw identical to
-/// [`UniformPartners`] / [`NeighborPartners`], but fed from a
+/// [`UniformPartners`](crate::engine::UniformPartners) /
+/// [`NeighborPartners`](crate::engine::NeighborPartners), but fed from a
 /// [`ContactRng`] instead of the engine's sequential stream.
 #[derive(Debug, Clone, Copy)]
 enum Partners<'a> {
@@ -329,8 +212,8 @@ pub struct FastDraw {
 
 /// The single-update push/feedback/coin rumor epidemic, restated over
 /// bitsets and a [`LazyTable`] for the [`ActiveCycleEngine`]; see the
-/// module docs for the contract and its semantic deviations from the
-/// legacy runner.
+/// module docs for the contract and its semantic deviations from
+/// [`RumorEpidemic`](crate::mixing::RumorEpidemic).
 ///
 /// S/I/R is encoded exactly as in the paper's protocols: susceptible =
 /// no entry, infective = entry and hot, removed = entry but not hot.
@@ -367,7 +250,7 @@ impl<'a> FastRumorProtocol<'a> {
     /// # Panics
     ///
     /// Panics if any site of `graph` has no neighbors (same contract as
-    /// [`NeighborPartners::new`]).
+    /// [`NeighborPartners::new`](crate::engine::NeighborPartners::new)).
     pub fn scale_free(graph: &'a DegreeGraph, k: u32) -> FastRumorProtocol<'a> {
         let n = graph.site_count();
         for i in 0..n {
@@ -400,7 +283,7 @@ impl<'a> FastRumorProtocol<'a> {
         &self.table
     }
 
-    /// Summarizes a finished run, mirroring the legacy runner's
+    /// Summarizes a finished run, mirroring `RumorEpidemic`'s
     /// [`EpidemicResult`] conventions field for field (residue and
     /// `t_ave`/`t_last` come from the table, traffic from the engine
     /// totals).
@@ -500,7 +383,7 @@ pub mod reference {
     /// materialized table.
     #[derive(Debug, Clone)]
     pub struct ReferenceRun {
-        /// Result under the legacy runner's conventions.
+        /// Result under `RumorEpidemic`'s conventions.
         pub result: EpidemicResult,
         /// First-receipt cycle per site (site 0 at cycle 0).
         pub received: ReceiveLog<u32>,
@@ -609,61 +492,8 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backends_produce_identical_results() {
-        let sim = MegascaleSim::new();
-        for seed in [1, 2] {
-            let tree = sim.run_uniform(300, seed, Backend::BTree);
-            let flat = sim.run_uniform(300, seed, Backend::Flat);
-            assert_eq!(tree, flat, "uniform seed={seed}");
-        }
-        let graph = DegreeGraph::scale_free(300, 2, 7);
-        let tree = sim.run_scale_free(&graph, 3, Backend::BTree);
-        let flat = sim.run_scale_free(&graph, 3, Backend::Flat);
-        assert_eq!(tree, flat, "scale-free");
-    }
-
-    #[test]
-    fn epidemic_reaches_nearly_everyone() {
-        let sim = MegascaleSim::new();
-        let uniform = sim.run_uniform(500, 11, Backend::Flat);
-        assert!(uniform.residue < 0.05, "residue {}", uniform.residue);
-        assert!(uniform.cycles > 0 && uniform.t_last > 0.0);
-        let graph = DegreeGraph::scale_free(500, 2, 11);
-        let sf = sim.run_scale_free(&graph, 11, Backend::Flat);
-        assert!(sf.residue < 0.20, "residue {}", sf.residue);
-    }
-
-    #[test]
-    fn observed_run_matches_unobserved_and_aggregates() {
-        use crate::engine::AggregateObserver;
-        let sim = MegascaleSim::new();
-        let plain = sim.run_uniform(300, 9, Backend::Flat);
-        let mut obs = AggregateObserver::new();
-        let observed = sim.run_uniform_observed(300, 9, Backend::Flat, &mut obs);
-        assert_eq!(plain, observed, "observers must not perturb the run");
-        let agg = obs.finish();
-        assert_eq!(agg.sites(), 300);
-        assert_eq!(agg.runs(), 1);
-        assert!(
-            agg.delay().count() >= 250,
-            "nearly every site records a delay: {}",
-            agg.delay().count()
-        );
-        assert!((agg.totals().sent as f64 / 300.0 - plain.traffic).abs() < 1e-12);
-        assert_eq!(agg.max_cycle(), u64::from(plain.cycles));
-    }
-
-    #[test]
-    fn runs_are_deterministic_per_seed() {
-        let sim = MegascaleSim::new();
-        let a = sim.run_uniform(200, 5, Backend::Flat);
-        let b = sim.run_uniform(200, 5, Backend::Flat);
-        assert_eq!(a, b);
-        let c = sim.run_uniform(200, 6, Backend::Flat);
-        assert_ne!(a, c, "different seeds explore different streams");
-    }
+    use crate::mixing::RumorEpidemic;
+    use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 
     #[test]
     fn fast_path_matches_the_reference_spec_exactly() {
@@ -720,13 +550,13 @@ mod tests {
         assert_eq!(agg.max_cycle(), u64::from(plain.cycles));
     }
 
-    /// The fast path's synchronous judgment is a semantic deviation from
-    /// the legacy asynchronous runner, so the two are compared
-    /// statistically: over many seeds, mean residue/traffic/t_ave must
-    /// agree within 5σ (the house methodology from the sharded-engine
-    /// equivalence suite).
+    /// The fast path's ascending apply order and counter RNG are a
+    /// semantic deviation from the same protocol on the sequential engine
+    /// (`RumorEpidemic`: push, feedback, coin `k = 4`, asynchronous), so
+    /// the two are compared statistically: over many seeds, mean
+    /// residue/traffic/t_ave/t_last must agree within 5σ.
     #[test]
-    fn fast_path_statistically_matches_the_legacy_runner() {
+    fn fast_path_statistically_matches_rumor_epidemic() {
         fn mean_and_var(samples: &[f64]) -> (f64, f64) {
             let mean = samples.iter().sum::<f64>() / samples.len() as f64;
             let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
@@ -746,11 +576,16 @@ mod tests {
         }
 
         let sim = MegascaleSim::new().workers(1);
+        let epidemic = RumorEpidemic::new(RumorConfig::new(
+            Direction::Push,
+            Feedback::Feedback,
+            Removal::Coin { k: 4 },
+        ))
+        .synchronous(false);
         let n = 256;
         let trials = 60;
-        let legacy: Vec<EpidemicResult> = (0..trials)
-            .map(|s| sim.run_uniform(n, 1000 + s, Backend::Flat))
-            .collect();
+        let sequential: Vec<EpidemicResult> =
+            (0..trials).map(|s| epidemic.run(n, 1000 + s)).collect();
         let fast: Vec<EpidemicResult> = (0..trials)
             .map(|s| sim.run_uniform_fast(n, 1000 + s))
             .collect();
@@ -760,7 +595,7 @@ mod tests {
             ("t_ave", |r| r.t_ave),
             ("t_last", |r| r.t_last),
         ] {
-            let a: Vec<f64> = legacy.iter().map(get).collect();
+            let a: Vec<f64> = sequential.iter().map(get).collect();
             let b: Vec<f64> = fast.iter().map(get).collect();
             assert_means_agree(name, &a, &b);
         }

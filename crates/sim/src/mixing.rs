@@ -26,9 +26,7 @@ use rand::SeedableRng;
 
 use crate::bitset::BitSet;
 use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol};
-use crate::engine::{
-    CycleEngine, Observer, ReceiveLog, ShardedCycleEngine, SirObserver, UniformPartners,
-};
+use crate::engine::{CycleEngine, Observer, ReceiveLog, SirObserver, UniformPartners};
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -231,74 +229,6 @@ impl RumorEpidemic {
             .hunt_limit(self.hunt_limit)
             .max_cycles(self.max_cycles)
             .run_instrumented(&mut protocol, &policy, &mut rng, observer, sink);
-
-        let received = protocol.received;
-        EpidemicResult {
-            n,
-            residue: received.residue(),
-            traffic: report.totals.sent as f64 / n as f64,
-            t_ave: received.t_ave_received(),
-            t_last: f64::from(received.t_last().unwrap_or(0)),
-            cycles: report.cycles,
-            complete: received.complete(),
-        }
-    }
-
-    /// As [`RumorEpidemic::run`] on the deterministic shard-parallel
-    /// engine: the output is a pure function of `(n, seed, shards)` and
-    /// never of `workers` — but it is a *different* RNG universe from
-    /// [`RumorEpidemic::run`] (see [`engine::sharded`](crate::engine::sharded)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`, or if a connection limit or hunting is
-    /// configured: both serialize on global accept counters and are only
-    /// supported by the sequential engine.
-    pub fn run_sharded(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-    ) -> EpidemicResult {
-        self.run_sharded_observed(n, seed, shards, workers, &mut ())
-    }
-
-    /// As [`RumorEpidemic::run_sharded`] with an observer; events arrive
-    /// in the engine's deterministic merge order.
-    pub fn run_sharded_observed<O: Observer<MixingProtocol>>(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        assert!(
-            self.connection_limit.is_none() && self.hunt_limit == 0,
-            "sharded mode does not support connection limits or hunting"
-        );
-        let policy = UniformPartners::new(n);
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
-        sites[0].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(0, 0);
-
-        let mut protocol = MixingProtocol {
-            cfg: self.cfg,
-            synchronous: self.synchronous,
-            sites,
-            received,
-            state0: BitSet::new(n),
-            hot0: BitSet::new(n),
-            scratch: epidemic_core::RumorScratch::new(),
-        };
-        let report = ShardedCycleEngine::new(shards)
-            .workers(workers)
-            .max_cycles(self.max_cycles)
-            .run(&mut protocol, &policy, seed, observer);
 
         let received = protocol.received;
         EpidemicResult {
@@ -547,56 +477,6 @@ impl AntiEntropyEpidemic {
             &mut rng,
             observer,
         );
-        AntiEntropyRun {
-            cycles: report.cycles,
-            susceptible_trace: protocol.trace,
-            complete: protocol.count == n,
-        }
-    }
-
-    /// As [`AntiEntropyEpidemic::run`] on the deterministic shard-parallel
-    /// engine: the output is a pure function of `(n, seed, shards)` and
-    /// never of `workers` — but it is a *different* RNG universe from
-    /// [`AntiEntropyEpidemic::run`] (see
-    /// [`engine::sharded`](crate::engine::sharded)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_sharded(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-    ) -> AntiEntropyRun {
-        self.run_sharded_observed(n, seed, shards, workers, &mut ())
-    }
-
-    /// As [`AntiEntropyEpidemic::run_sharded`] with an observer; events
-    /// arrive in the engine's deterministic merge order.
-    pub fn run_sharded_observed<O: Observer<BitAntiEntropyProtocol>>(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-        observer: &mut O,
-    ) -> AntiEntropyRun {
-        let policy = UniformPartners::new(n);
-        let mut infected = vec![false; n];
-        infected[0] = true;
-        let mut protocol = BitAntiEntropyProtocol {
-            direction: self.direction,
-            infected,
-            snapshot: BitSet::new(n),
-            count: 1,
-            trace: Vec::new(),
-        };
-        let report = ShardedCycleEngine::new(shards)
-            .workers(workers)
-            .max_cycles(self.max_cycles)
-            .run(&mut protocol, &policy, seed, observer);
         AntiEntropyRun {
             cycles: report.cycles,
             susceptible_trace: protocol.trace,

@@ -250,11 +250,15 @@ impl std::error::Error for ParseError {}
 /// Strict on structure (unbalanced brackets, missing colons and trailing
 /// garbage are errors) and tolerant on content the writer can produce:
 /// `null` in number position parses as a `Value::Null`. Duplicate object
-/// keys are kept as-is; [`Value::get`] returns the first.
+/// keys are kept as-is; [`Value::get`] returns the first. Arrays and
+/// objects nested deeper than [`MAX_DEPTH`] are an error, so a hostile
+/// file cannot overflow the stack.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -265,9 +269,16 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     Ok(value)
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The writer's own
+/// documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,8 +319,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -317,6 +328,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -374,6 +399,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Plain characters up to the next quote or backslash copy over
+            // as one slice; both delimiters are ASCII, so the run ends on a
+            // character boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(c) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -411,15 +445,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape character")),
                     }
                 }
-                _ => {
-                    // Re-scan the full UTF-8 character starting here.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().expect("non-empty by construction");
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
-                }
+                _ => unreachable!("a plain run stops only at a quote or backslash"),
             }
         }
     }
@@ -555,6 +581,48 @@ mod tests {
         let fields = v.as_object().unwrap();
         assert_eq!(fields[0].0, "z");
         assert_eq!(fields[1].0, "a");
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).expect_err("a 100,000-deep nest must not parse");
+        assert!(err.message.contains("nesting"), "{err}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok(), "{MAX_DEPTH} levels parse");
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err(), "{} levels do not", MAX_DEPTH + 1);
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err(), "objects count toward the cap");
+    }
+
+    #[test]
+    fn parser_round_trips_multibyte_characters() {
+        // 2-, 3- and 4-byte UTF-8 characters, alone, mixed with ASCII and
+        // escapes, and at the start and end of a string.
+        for text in [
+            "é",
+            "€",
+            "😀",
+            "aé€😀z",
+            "\"é\"\n€",
+            "😀x",
+            "xé",
+            "ééé€€€😀😀😀",
+        ] {
+            let mut obj = JsonObject::new();
+            obj.field_str("s", text);
+            let v = parse(&obj.finish()).expect("writer output parses");
+            assert_eq!(v.get("s").unwrap().as_str(), Some(text));
+        }
+        // A long non-ASCII string must parse in linear time.
+        let long = "é".repeat(200_000);
+        let v = parse(&format!("[\"{long}\"]")).unwrap();
+        assert_eq!(v.as_array().unwrap()[0].as_str(), Some(long.as_str()));
     }
 
     #[test]
