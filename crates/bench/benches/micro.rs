@@ -4,11 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use epidemic_core::{AntiEntropy, Comparison, Direction, Feedback, Removal, Replica, RumorConfig};
+use epidemic_core::{AntiEntropy, Comparison, Direction, Replica};
 use epidemic_db::{Database, SimClock, SiteId};
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial};
-use epidemic_sim::mixing::RumorEpidemic;
-use epidemic_trace::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,35 +94,6 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole's zero-cost claim: a full mixing epidemic through the
-/// instrumented engine with the no-op sink `()` must cost the same as the
-/// pre-instrumentation hot path (the sink monomorphizes away), while the
-/// recording `Registry` sink pays only a few map updates per *run*.
-fn bench_metrics_sink(c: &mut Criterion) {
-    let mut group = c.benchmark_group("metrics_sink_mixing_n500");
-    let driver = RumorEpidemic::new(RumorConfig::new(
-        Direction::Push,
-        Feedback::Feedback,
-        Removal::Counter { k: 3 },
-    ));
-    group.bench_function("noop", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            black_box(driver.run_metered(500, seed, &mut (), &mut ()))
-        })
-    });
-    group.bench_function("registry", |b| {
-        let mut registry = Registry::new();
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            black_box(driver.run_metered(500, seed, &mut (), &mut registry))
-        })
-    });
-    group.finish();
-}
-
 fn bench_routing(c: &mut Criterion) {
     let net = topologies::cin(&topologies::CinConfig::default());
     c.bench_function("routing/all_pairs_bfs_cin", |b| {
@@ -135,6 +104,6 @@ fn bench_routing(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(10);
-    targets = bench_store, bench_anti_entropy, bench_sampling, bench_metrics_sink, bench_routing
+    targets = bench_store, bench_anti_entropy, bench_sampling, bench_routing
 }
 criterion_main!(micro);

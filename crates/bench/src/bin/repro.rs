@@ -38,8 +38,11 @@
 //! (legacy engine setup / contact loop / end-of-cycle, fast-path
 //! active_setup / active_contact_loop / active_apply, trial fan-out /
 //! aggregation) and the worker-thread count to a JSON file
-//! (`BENCH_repro.json` by default). Thread count is controlled by the
-//! `EPIDEMIC_THREADS` environment variable (see `epidemic_sim::runner`).
+//! (`BENCH_repro.json` by default); failing to write that file exits 1,
+//! like any other requested artifact. Thread count is controlled by the
+//! `EPIDEMIC_THREADS` environment variable (see `epidemic_sim::runner`);
+//! a value that is not a positive integer is a usage error (exit 2),
+//! reported before anything runs.
 
 use epidemic_bench::alloc_counter;
 use epidemic_bench::figures;
@@ -205,7 +208,7 @@ struct ExperimentTiming {
 /// carries its heap-allocation count. Memory per row is `rss_delta_kb`
 /// (attributable to the experiment) plus the monotone `peak_rss_kb`
 /// context reading — both 0 on platforms without `/proc` (see
-/// `epidemic_bench::rss`).
+/// `epidemic_bench::rss`). Exits 1 if the file cannot be written.
 fn write_timings(
     path: &str,
     threads: usize,
@@ -244,7 +247,10 @@ fn write_timings(
     json.push_str("  ]\n}\n");
     match std::fs::write(path, json) {
         Ok(()) => eprintln!("[timings written to {path}]"),
-        Err(e) => eprintln!("[failed to write {path}: {e}]"),
+        Err(e) => {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -343,6 +349,10 @@ fn main() {
             std::process::exit(2);
         }
         list.extend(matched);
+    }
+    if let Err(e) = epidemic_sim::runner::thread_override() {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
     if list.contains(&"fig-megascale") {
         if let Err(e) = figures::megascale_max_n() {

@@ -228,6 +228,42 @@ fn malformed_megascale_max_n_is_a_usage_error() {
 }
 
 #[test]
+fn malformed_thread_count_is_a_usage_error() {
+    let dir = scratch("threads");
+    let dir_str = dir.to_str().unwrap();
+    for value in ["two", "0", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--trials", "1", "--json", dir_str, "table1"])
+            .env("EPIDEMIC_THREADS", value)
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(out.status.code(), Some(2), "EPIDEMIC_THREADS={value:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("EPIDEMIC_THREADS"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs before the check");
+        assert!(!dir.exists(), "no artifact is written before the check");
+    }
+}
+
+#[test]
+fn unwritable_timings_file_is_an_error() {
+    let dir = scratch("timings");
+    let path = dir.join("missing").join("timings.json");
+    let out = repro(&[
+        "--trials",
+        "1",
+        "--timings",
+        path.to_str().unwrap(),
+        "table1",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("failed to write"), "{stderr}");
+    assert!(!path.exists());
+}
+
+#[test]
 fn traced_tables_write_rows_and_aggregates() {
     let dir = scratch("tables-only");
     let dir_str = dir.to_str().unwrap();

@@ -1,5 +1,4 @@
-//! The flat storage backend: the store every [`Database`](crate::Database)
-//! builds unless a caller asks for the B-tree reference explicitly.
+//! The main store behind every [`Database`](crate::Database).
 //!
 //! [`FlatStore`] keeps the main store as one `Vec` of `(key, entry)` rows
 //! — an array of structs — sorted ascending by `(timestamp, key)`:
@@ -11,31 +10,31 @@
 //! a single-row site, the common case in epidemic spreading experiments,
 //! is just one heap block.
 //!
-//! Cost model versus [`BTreeBackend`](crate::storage::BTreeBackend):
+//! Cost model:
 //!
 //! * a site's first entry costs **one** allocation (the row vector,
-//!   `reserve_exact(1)`) instead of two tree nodes — at 10⁶ sites this is
-//!   the difference between one and two heap blocks per site, and the rows
-//!   are contiguous where tree nodes pointer-chase;
+//!   `reserve_exact(1)`) — at 10⁶ sites that is one heap block per site,
+//!   and the rows are contiguous where tree nodes would pointer-chase;
 //! * supersession of the newest entry (the steady-state epidemic path) is
 //!   a pop-and-push at the row tail, no rebalancing;
 //! * worst-case mutation is `O(n)` per site (a `Vec` shift) — the trade is
 //!   deliberate: per-site databases in the megascale experiments hold a
 //!   handful of entries, while site *count* is huge.
 //!
-//! The backend is observationally equivalent to the reference
-//! implementation (same outcomes, same iteration orders, same checksum
-//! toggles); the `flat_store_reference` differential suite pins this over
-//! random update/delete/GC/exchange histories.
+//! Only [`Database`](crate::Database) mutates a store. The
+//! `flat_store_reference` differential suite pins the whole database
+//! against a naive executable spec (a plain `BTreeMap` main store plus a
+//! `BTreeMap` dormant store, orders derived by sorting) over random
+//! update/delete/offer/GC histories.
 
 use std::cmp::Ordering;
 use std::hash::Hash;
 
 use crate::item::{ApplyOutcome, Entry};
-use crate::storage::{Aux, Storage};
+use crate::storage::Aux;
 use crate::timestamp::Timestamp;
 
-/// Flat timestamp-sorted main-store backend; see the module docs.
+/// The timestamp-sorted main store; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FlatStore<K, V> {
     /// Rows ascending by `(timestamp, key)`; walking backwards yields the
@@ -196,9 +195,8 @@ where
     }
 
     /// Asserts the internal invariants (row order, index consistency).
-    /// Exposed for the differential test suite.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
+    #[cfg(test)]
+    fn check_invariants(&self) {
         assert!(
             self.rows
                 .windows(2)
@@ -217,25 +215,27 @@ where
             );
         }
     }
-}
 
-impl<K, V> Storage<K, V> for FlatStore<K, V>
-where
-    K: Ord + Clone + Hash,
-    V: Hash,
-{
-    fn len(&self) -> usize {
+    /// Number of stored entries (live values plus death certificates).
+    pub fn len(&self) -> usize {
         self.rows.len()
     }
 
-    fn get(&self, key: &K) -> Option<&Entry<V>> {
+    /// Whether the store holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The entry for `key`, if present.
+    pub fn get(&self, key: &K) -> Option<&Entry<V>> {
         match self.lookup(key) {
             Ok((_, pos)) => Some(&self.rows[pos].1),
             Err(_) => None,
         }
     }
 
-    fn apply(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) -> ApplyOutcome {
+    /// Merges an owned entry under the §1.1 supersession rule.
+    pub(crate) fn apply(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) -> ApplyOutcome {
         match self.lookup(&key) {
             Ok((rank, pos)) => {
                 let current = &self.rows[pos].1;
@@ -256,7 +256,9 @@ where
         }
     }
 
-    fn apply_ref(&mut self, key: &K, entry: &Entry<V>, aux: Aux<'_>) -> ApplyOutcome
+    /// [`FlatStore::apply`] from borrowed data: clones the entry (and key)
+    /// only when the offer actually supersedes.
+    pub(crate) fn apply_ref(&mut self, key: &K, entry: &Entry<V>, aux: Aux<'_>) -> ApplyOutcome
     where
         V: Clone,
     {
@@ -280,14 +282,16 @@ where
         }
     }
 
-    fn install(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) {
+    /// Installs an entry unconditionally (client updates and deletions).
+    pub(crate) fn install(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) {
         match self.lookup(&key) {
             Ok((rank, pos)) => self.replace(rank, pos, entry, aux),
             Err(rank) => self.insert_fresh(rank, key, entry, aux),
         }
     }
 
-    fn remove(&mut self, key: &K, aux: Aux<'_>) -> Option<Entry<V>> {
+    /// Removes an entry outright (garbage collection), returning it.
+    pub(crate) fn remove(&mut self, key: &K, aux: Aux<'_>) -> Option<Entry<V>> {
         let (rank, pos) = self.lookup(key).ok()?;
         let (k, old) = self.remove_row(rank, pos);
         aux.checksum.toggle(&(&k, &old));

@@ -12,7 +12,7 @@
 //! [`LazyTable`] inverts the construction: a site gets **no row at all
 //! until its first write**. Rows are appended in write order into three
 //! parallel columns (site, value, write cycle) — a struct-of-arrays
-//! layout shared by the entire fleet, where the flat backend
+//! layout shared by the entire fleet, where the replica store
 //! ([`crate::flat::FlatStore`]) keeps one row vector per replica.
 //! Startup cost and resident footprint are both proportional to the
 //! number of sites that actually received something.

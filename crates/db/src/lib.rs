@@ -13,10 +13,12 @@
 //!
 //! * [`Timestamp`]s that are globally unique and totally ordered
 //!   ([`timestamp`]),
-//! * the versioned store itself ([`Database`]),
+//! * the versioned store itself ([`Database`]), whose main store is one
+//!   [`FlatStore`] of `(key, entry)` rows sorted by `(timestamp, key)` —
+//!   so the §1.3/§1.5 *peel-back* inverted index by timestamp is just the
+//!   row order walked backwards ([`Database::newest_first`]),
 //! * incremental database [`checksum`]s (§1.3),
 //! * recent-update lists with a window `τ` ([`recent`], §1.3),
-//! * a *peel-back* inverted index by timestamp ([`peelback`], §1.3, §1.5),
 //! * dormant death certificates with activation timestamps ([`death`], §2),
 //! * lazily materialized site rows — no storage until a site's first
 //!   receipt — for fleet sizes where eager construction dominates
@@ -48,7 +50,6 @@ pub mod flat;
 pub mod interner;
 pub mod item;
 pub mod lazy;
-pub mod peelback;
 pub mod recent;
 pub mod storage;
 pub mod store;
@@ -60,8 +61,7 @@ pub use flat::FlatStore;
 pub use interner::KeyInterner;
 pub use item::{ApplyOutcome, Entry};
 pub use lazy::LazyTable;
-pub use peelback::PeelBackIndex;
 pub use recent::RecentUpdates;
-pub use storage::{Aux, BTreeBackend, Backend, Storage};
+pub use storage::Backend;
 pub use store::{Database, OfferOutcome};
 pub use timestamp::{Clock, SimClock, SiteId, SkewedClock, Timestamp};

@@ -1,14 +1,16 @@
-//! The versioned replica store (paper §1.1).
+//! The versioned replica store (paper §1.1): [`Database`], one
+//! [`FlatStore`] of timestamped rows plus the dormant death-certificate
+//! side store (§2.1) and the incremental checksum (§1.3).
 
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use crate::checksum::Checksum;
 use crate::death::{DeathCertificate, DeathStage, GcPolicy, GcStats};
-use crate::flat::{self, FlatStore};
+use crate::flat::{FlatStore, KeyOrderIter};
 use crate::item::{ApplyOutcome, Entry};
 use crate::recent::RecentUpdates;
-use crate::storage::{Aux, BTreeBackend, Backend, Storage};
+use crate::storage::Aux;
 use crate::timestamp::{Clock, SiteId, Timestamp};
 
 /// One replica of the database: the time-varying partial function
@@ -19,15 +21,9 @@ use crate::timestamp::{Clock, SiteId, Timestamp};
 ///
 /// * an order-independent [`Checksum`] of all entries (§1.3),
 /// * an inverted timestamp (peel-back) order over the entries (§1.3) —
-///   maintained as an index or derived from the storage layout, depending
-///   on the backend,
+///   the row order of the [`FlatStore`] main store, walked backwards,
 /// * a side store of *dormant* death certificates (§2.1) that are held but
 ///   neither counted in the checksum nor propagated.
-///
-/// The main store itself lives behind a [`Backend`]: the flat row layout
-/// of [`FlatStore`], which [`Database::new`] builds, or the reference
-/// `BTreeMap` layout (see [`crate::storage`]). Backends are
-/// observationally equivalent.
 ///
 /// # Example
 ///
@@ -46,53 +42,10 @@ use crate::timestamp::{Clock, SiteId, Timestamp};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Database<K, V> {
-    store: Store<K, V>,
+    store: FlatStore<K, V>,
     dormant: BTreeMap<K, DeathCertificate>,
     checksum: Checksum,
     live: usize,
-}
-
-/// The closed set of main-store backends. Enum dispatch (rather than a
-/// boxed trait object) keeps every hot-path operation monomorphic and
-/// branch-predictable: one discriminant test, then straight-line backend
-/// code.
-#[derive(Debug, Clone)]
-enum Store<K, V> {
-    BTree(BTreeBackend<K, V>),
-    Flat(FlatStore<K, V>),
-}
-
-/// Dispatches a read-only storage operation over the backend enum.
-macro_rules! with_store {
-    ($db:expr, $s:ident => $e:expr) => {
-        match &$db.store {
-            Store::BTree($s) => $e,
-            Store::Flat($s) => $e,
-        }
-    };
-}
-
-/// Dispatches a mutating storage operation, handing the backend an [`Aux`]
-/// view of the checksum and live count.
-macro_rules! with_store_aux {
-    ($db:expr, $s:ident, $aux:ident => $e:expr) => {{
-        let Database {
-            store,
-            checksum,
-            live,
-            ..
-        } = $db;
-        match store {
-            Store::BTree($s) => {
-                let $aux = Aux { checksum, live };
-                $e
-            }
-            Store::Flat($s) => {
-                let $aux = Aux { checksum, live };
-                $e
-            }
-        }
-    }};
 }
 
 /// Outcome of [`Database::offer`], which adds dormant-death-certificate
@@ -134,38 +87,19 @@ where
     K: Ord + Clone + Hash,
     V: Hash,
 {
-    /// Creates an empty replica on the [`FlatStore`] backend.
+    /// Creates an empty replica. Allocates nothing.
     pub fn new() -> Self {
-        Database::with_backend(Backend::Flat)
-    }
-
-    /// Creates an empty replica on an explicit storage backend — e.g. the
-    /// [`Backend::BTree`] reference for side-by-side backend comparisons
-    /// in one process.
-    pub fn with_backend(backend: Backend) -> Self {
-        let store = match backend {
-            Backend::BTree => Store::BTree(BTreeBackend::new()),
-            Backend::Flat => Store::Flat(FlatStore::new()),
-        };
         Database {
-            store,
+            store: FlatStore::new(),
             dormant: BTreeMap::new(),
             checksum: Checksum::new(),
             live: 0,
         }
     }
 
-    /// The storage backend this replica runs on.
-    pub fn backend(&self) -> Backend {
-        match &self.store {
-            Store::BTree(_) => Backend::BTree,
-            Store::Flat(_) => Backend::Flat,
-        }
-    }
-
     /// Number of entries, live values plus (non-dormant) death certificates.
     pub fn len(&self) -> usize {
-        with_store!(self, s => s.len())
+        self.store.len()
     }
 
     /// Whether the replica holds no entries at all.
@@ -197,7 +131,7 @@ where
 
     /// The full versioned entry for `key`, including death certificates.
     pub fn entry(&self, key: &K) -> Option<&Entry<V>> {
-        with_store!(self, s => s.get(key))
+        self.store.get(key)
     }
 
     /// The dormant death certificate for `key`, if this site retains one.
@@ -268,7 +202,11 @@ where
     /// This is the pure semilattice join; use [`Database::offer`] to also
     /// honor dormant death certificates.
     pub fn apply(&mut self, key: K, entry: Entry<V>) -> ApplyOutcome {
-        with_store_aux!(self, s, aux => s.apply(key, entry, aux))
+        let aux = Aux {
+            checksum: &mut self.checksum,
+            live: &mut self.live,
+        };
+        self.store.apply(key, entry, aux)
     }
 
     /// [`Database::apply`] from borrowed data: the entry is cloned only
@@ -278,7 +216,11 @@ where
     where
         V: Clone,
     {
-        with_store_aux!(self, s, aux => s.apply_ref(key, entry, aux))
+        let aux = Aux {
+            checksum: &mut self.checksum,
+            live: &mut self.live,
+        };
+        self.store.apply_ref(key, entry, aux)
     }
 
     /// Merges a received entry, first consulting the dormant
@@ -327,26 +269,22 @@ where
     /// Installs an entry unconditionally, maintaining checksum, peel-back
     /// order and live count. Client mutation funnels through here.
     fn install(&mut self, key: K, entry: Entry<V>) {
-        with_store_aux!(self, s, aux => s.install(key, entry, aux))
+        let aux = Aux {
+            checksum: &mut self.checksum,
+            live: &mut self.live,
+        };
+        self.store.install(key, entry, aux)
     }
 
     /// Iterates over all `(key, entry)` pairs in key order.
-    pub fn iter(&self) -> Iter<'_, K, V> {
-        Iter {
-            inner: match &self.store {
-                Store::BTree(b) => Either::L(b.iter()),
-                Store::Flat(f) => Either::R(f.iter()),
-            },
-        }
+    pub fn iter(&self) -> KeyOrderIter<'_, K, V> {
+        self.store.iter()
     }
 
     /// Iterates over entries in **reverse timestamp order** — the *peel
     /// back* order of §1.3/§1.5.
     pub fn newest_first(&self) -> impl Iterator<Item = (&K, &Entry<V>)> {
-        match &self.store {
-            Store::BTree(b) => Either::L(b.newest_first()),
-            Store::Flat(f) => Either::R(f.newest_first()),
-        }
+        self.store.newest_first()
     }
 
     /// Borrowing form of the *recent update list* (§1.3): iterates all
@@ -361,8 +299,8 @@ where
 
     /// The recent update list as bare `(timestamp, key)` pairs straight
     /// off the peel-back order, newest first. This is the cheapest form
-    /// of the §1.3 list: the timestamps live in the index (or column)
-    /// itself, so no entry is fetched until a recipient actually
+    /// of the §1.3 list: the timestamps live in the rows themselves, so
+    /// no entry is fetched until a recipient actually
     /// [`would_accept`](Database::would_accept) it.
     pub fn recent_index(&self, now: u64, tau: u64) -> impl Iterator<Item = (Timestamp, &K)> {
         self.timestamp_index()
@@ -374,10 +312,7 @@ where
     /// Receivers walk this in lockstep with a sender's recent list to
     /// recognise already-held versions without a single map probe.
     pub fn timestamp_index(&self) -> impl Iterator<Item = (Timestamp, &K)> {
-        match &self.store {
-            Store::BTree(b) => Either::L(b.timestamp_index()),
-            Store::Flat(f) => Either::R(f.timestamp_index()),
-        }
+        self.store.timestamp_index()
     }
 
     /// The *recent update list* (§1.3): all entries whose timestamp age
@@ -445,7 +380,11 @@ where
     /// Used by garbage collection; ordinary deletion goes through
     /// [`Database::delete`] so that a death certificate is left behind.
     fn remove_entry(&mut self, key: &K) -> Option<Entry<V>> {
-        with_store_aux!(self, s, aux => s.remove(key, aux))
+        let aux = Aux {
+            checksum: &mut self.checksum,
+            live: &mut self.live,
+        };
+        self.store.remove(key, aux)
     }
 
     /// Recomputes the checksum from scratch. Exposed for tests and
@@ -456,58 +395,6 @@ where
             sum.toggle(&(k, e));
         }
         sum
-    }
-}
-
-/// Key-order iterator over a [`Database`]'s main store — the concrete type
-/// behind [`Database::iter`] and `(&Database).into_iter()`.
-#[derive(Debug, Clone)]
-pub struct Iter<'a, K, V> {
-    inner: Either<std::collections::btree_map::Iter<'a, K, Entry<V>>, flat::KeyOrderIter<'a, K, V>>,
-}
-
-impl<'a, K, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a Entry<V>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl<K, V> ExactSizeIterator for Iter<'_, K, V> {}
-
-/// Two-armed iterator: the storage backends return different concrete
-/// iterator types for the same logical walk, and `impl Trait` needs a
-/// single one.
-#[derive(Debug, Clone)]
-enum Either<L, R> {
-    L(L),
-    R(R),
-}
-
-impl<L, R> Iterator for Either<L, R>
-where
-    L: Iterator,
-    R: Iterator<Item = L::Item>,
-{
-    type Item = L::Item;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Either::L(l) => l.next(),
-            Either::R(r) => r.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Either::L(l) => l.size_hint(),
-            Either::R(r) => r.size_hint(),
-        }
     }
 }
 
@@ -528,8 +415,6 @@ where
 {
     /// Two replicas are equal when their main stores agree — the
     /// convergence goal `∀ s, s′ : s.ValueOf = s′.ValueOf` of §1.1.
-    /// Backend-agnostic: a flat replica equals a B-tree replica holding
-    /// the same entries.
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
     }
@@ -821,26 +706,6 @@ mod tests {
         assert_eq!(by_ref.dormant_len(), 0);
         assert_eq!(by_ref.checksum(), by_ref.recompute_checksum());
     }
-
-    #[test]
-    fn backends_are_interchangeable_and_comparable() {
-        let mut c = clock(0);
-        let mut tree: Database<&str, u32> = Database::with_backend(Backend::BTree);
-        let mut flat: Database<&str, u32> = Database::with_backend(Backend::Flat);
-        assert_eq!(tree.backend(), Backend::BTree);
-        assert_eq!(flat.backend(), Backend::Flat);
-        for (key, value) in [("b", 1), ("a", 2), ("c", 3), ("a", 4)] {
-            let t = tree.update(key, value, &mut c);
-            flat.apply(key, Entry::live(value, t));
-        }
-        tree.delete(&"c", &mut c);
-        flat.apply("c", tree.entry(&"c").unwrap().clone());
-        assert_eq!(tree, flat);
-        assert_eq!(tree.checksum(), flat.checksum());
-        assert_eq!(tree.live_len(), flat.live_len());
-        assert!(tree.newest_first().eq(flat.newest_first()));
-        assert!(tree.timestamp_index().eq(flat.timestamp_index()));
-    }
 }
 
 impl<K, V> Extend<(K, Entry<V>)> for Database<K, V>
@@ -877,7 +742,7 @@ where
     V: Hash,
 {
     type Item = (&'a K, &'a Entry<V>);
-    type IntoIter = Iter<'a, K, V>;
+    type IntoIter = KeyOrderIter<'a, K, V>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()

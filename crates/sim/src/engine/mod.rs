@@ -40,7 +40,7 @@ pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
 
 use std::time::Instant;
 
-use epidemic_trace::{profile, MetricsSink};
+use epidemic_trace::profile;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -202,6 +202,10 @@ impl CycleEngine {
     /// Drives `protocol` to completion, drawing partners from `policy` and
     /// reporting every event to `observer` (pass `&mut ()` to observe
     /// nothing).
+    ///
+    /// The setup / contact-loop / end-of-cycle phases are clocked into the
+    /// global [`epidemic_trace::profile`] recorder, and only while it is
+    /// on; run counters come from the [`EngineReport`] and the observer.
     pub fn run<P, L, O>(
         &self,
         protocol: &mut P,
@@ -214,40 +218,11 @@ impl CycleEngine {
         L: PartnerPolicy + ?Sized,
         O: Observer<P>,
     {
-        self.run_instrumented(protocol, policy, rng, observer, &mut ())
-    }
-
-    /// As [`CycleEngine::run`], additionally reporting run metrics and
-    /// phase timings to `sink`.
-    ///
-    /// Counters (`engine.cycles` / `engine.contacts` / `engine.sent` /
-    /// `engine.useful` / `engine.fruitless`) and an `engine.cycle_contacts`
-    /// histogram are emitted once per run; the setup / contact-loop /
-    /// end-of-cycle phases are clocked only when the sink records
-    /// ([`MetricsSink::ENABLED`]) or the global
-    /// [`epidemic_trace::profile`] recorder is on — with the no-op
-    /// sink `()` and profiling off, this monomorphizes to exactly
-    /// [`CycleEngine::run`] (which delegates here).
-    pub fn run_instrumented<P, L, O, S>(
-        &self,
-        protocol: &mut P,
-        policy: &L,
-        rng: &mut StdRng,
-        observer: &mut O,
-        sink: &mut S,
-    ) -> EngineReport
-    where
-        P: EpidemicProtocol,
-        L: PartnerPolicy + ?Sized,
-        O: Observer<P>,
-        S: MetricsSink,
-    {
-        // Audited: `Instant::now` is reached only when the sink records
-        // (`S::ENABLED`) or the global profile recorder is on. With the
-        // no-op sink and profiling off every `timed.then(..)` below is
-        // `None` and the hot loop performs no clock syscalls — pinned by
-        // `uninstrumented_run_reads_no_clocks_and_records_no_phases`.
-        let timed = S::ENABLED || profile::is_enabled();
+        // Audited: `Instant::now` is reached only when the global profile
+        // recorder is on. With profiling off every `timed.then(..)` below
+        // is `None` and the hot loop performs no clock syscalls — pinned
+        // by `uninstrumented_run_reads_no_clocks_and_records_no_phases`.
+        let timed = profile::is_enabled();
         let setup_start = timed.then(Instant::now);
         let n = protocol.site_count();
         let mut order: Vec<usize> = (0..n).collect();
@@ -264,7 +239,6 @@ impl CycleEngine {
 
         while cycle < self.max_cycles {
             let cycle_start = timed.then(Instant::now);
-            let contacts_before = totals.contacts;
             active.clear();
             active.extend((0..n).filter(|&i| protocol.is_active(i)));
             if protocol.finished(cycle, &active) {
@@ -314,24 +288,8 @@ impl CycleEngine {
             if let Some(end) = contacts_end {
                 end_nanos += profile::span_nanos(end);
             }
-            if S::ENABLED {
-                sink.observe(
-                    "engine.cycle_contacts",
-                    (totals.contacts - contacts_before) as f64,
-                );
-            }
         }
 
-        if S::ENABLED {
-            sink.counter("engine.cycles", u64::from(cycle));
-            sink.counter("engine.contacts", totals.contacts);
-            sink.counter("engine.sent", totals.sent);
-            sink.counter("engine.useful", totals.useful);
-            sink.counter("engine.fruitless", totals.fruitless);
-            sink.phase("engine.setup", setup_nanos);
-            sink.phase("engine.contact_loop", contact_nanos);
-            sink.phase("engine.end_of_cycle", end_nanos);
-        }
         if profile::is_enabled() {
             profile::record("engine.setup", setup_nanos);
             profile::record("engine.contact_loop", contact_nanos);
@@ -572,11 +530,11 @@ mod tests {
         assert_eq!(converted.useful, converted.sent);
     }
 
-    /// Audit pin (hot-path sweep): with the no-op sink and the global
-    /// profile recorder off, the engine performs no phase timing at all —
-    /// no `engine.*` phases appear in the profile table afterwards. (The
-    /// `timed` gate in `run_instrumented` is what keeps `Instant::now`
-    /// off the uninstrumented hot path.)
+    /// Audit pin (hot-path sweep): with the global profile recorder off,
+    /// the engine performs no phase timing at all — no `engine.*` phases
+    /// appear in the profile table afterwards. (The `timed` gate in
+    /// [`CycleEngine::run`] is what keeps `Instant::now` off the
+    /// unprofiled hot path.)
     #[test]
     fn uninstrumented_run_reads_no_clocks_and_records_no_phases() {
         assert!(

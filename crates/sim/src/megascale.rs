@@ -111,7 +111,7 @@ impl MegascaleSim {
 
     /// One epidemic over `n` uniformly mixing sites on the fast path —
     /// active-set iteration, counter-based RNG, lazy site rows; see the
-    /// module docs. No storage backend is involved: per-site state is
+    /// module docs. No replica store is involved: per-site state is
     /// bits until a site's first receipt.
     ///
     /// # Panics
@@ -390,13 +390,13 @@ pub mod reference {
     }
 
     /// Reference run over `n` uniformly mixing sites; see the module
-    /// docs.
+    /// docs. The [`Backend`] argument is ignored (there is one layout).
     ///
     /// # Panics
     ///
     /// Panics if `n < 2`.
-    pub fn run_uniform(n: usize, k: u32, seed: u64, backend: Backend) -> ReferenceRun {
-        run(n, k, seed, backend, |i, rng| {
+    pub fn run_uniform(n: usize, k: u32, seed: u64, _: Backend) -> ReferenceRun {
+        run(n, k, seed, |i, rng| {
             let mut j = rng.random_range(0..n - 1);
             if j >= i {
                 j += 1;
@@ -406,13 +406,9 @@ pub mod reference {
     }
 
     /// Reference run over the sites of `graph`; see the module docs.
-    pub fn run_scale_free(
-        graph: &DegreeGraph,
-        k: u32,
-        seed: u64,
-        backend: Backend,
-    ) -> ReferenceRun {
-        run(graph.site_count(), k, seed, backend, |i, rng| {
+    /// The [`Backend`] argument is ignored (there is one layout).
+    pub fn run_scale_free(graph: &DegreeGraph, k: u32, seed: u64, _: Backend) -> ReferenceRun {
+        run(graph.site_count(), k, seed, |i, rng| {
             let neighbors = graph.neighbors(i);
             neighbors[rng.random_range(0..neighbors.len())] as usize
         })
@@ -422,16 +418,10 @@ pub mod reference {
         n: usize,
         k: u32,
         seed: u64,
-        backend: Backend,
         partner: F,
     ) -> ReferenceRun {
         let mut sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| {
-                Replica::with_backend(
-                    SiteId::new(u32::try_from(i).expect("site count fits u32")),
-                    backend,
-                )
-            })
+            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
             .collect();
         sites[0].client_update(KEY, 1);
         let mut received = ReceiveLog::new(n);

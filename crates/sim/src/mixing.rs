@@ -182,30 +182,6 @@ impl RumorEpidemic {
         seed: u64,
         observer: &mut O,
     ) -> EpidemicResult {
-        self.run_metered(n, seed, observer, &mut ())
-    }
-
-    /// As [`RumorEpidemic::run_observed`], additionally reporting engine
-    /// counters and phase timings to `sink` (see
-    /// [`CycleEngine::run_instrumented`]). With the no-op sink `()` this
-    /// is exactly [`RumorEpidemic::run_observed`] — the instrumentation
-    /// compiles away — which is what the `metrics_sink` microbenchmark
-    /// pins down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_metered<O, S>(
-        &self,
-        n: usize,
-        seed: u64,
-        observer: &mut O,
-        sink: &mut S,
-    ) -> EpidemicResult
-    where
-        O: Observer<MixingProtocol>,
-        S: epidemic_trace::MetricsSink,
-    {
         let policy = UniformPartners::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sites: Vec<Replica<u32, u32>> = (0..n)
@@ -228,7 +204,7 @@ impl RumorEpidemic {
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)
             .max_cycles(self.max_cycles)
-            .run_instrumented(&mut protocol, &policy, &mut rng, observer, sink);
+            .run(&mut protocol, &policy, &mut rng, observer);
 
         let received = protocol.received;
         EpidemicResult {

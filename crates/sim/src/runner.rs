@@ -12,7 +12,8 @@
 //!
 //! 1. [`TrialRunner::threads`] builder override;
 //! 2. the `EPIDEMIC_THREADS` environment variable (useful to force
-//!    sequential runs: `EPIDEMIC_THREADS=1 cargo run ...`);
+//!    sequential runs: `EPIDEMIC_THREADS=1 cargo run ...`), validated by
+//!    [`thread_override`];
 //! 3. [`std::thread::available_parallelism`];
 //!
 //! always capped by the trial count.
@@ -145,19 +146,36 @@ impl TrialRunner {
 
 /// The thread count used when no builder override is set:
 /// `EPIDEMIC_THREADS` if present and valid, else the hardware count.
+/// A malformed value falls back to the hardware count here; binaries
+/// reject it up front through [`thread_override`].
 pub fn default_threads() -> usize {
-    if let Ok(value) = std::env::var(THREADS_ENV_VAR) {
-        if let Some(n) = parse_thread_override(&value) {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(4)
+    thread_override().ok().flatten().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(4)
+    })
 }
 
-fn parse_thread_override(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+/// The `EPIDEMIC_THREADS` override: `Ok(None)` when the variable is unset
+/// or empty, `Ok(Some(n))` for a positive integer, and an error naming the
+/// variable for anything else (`0`, `two`, non-UTF-8).
+pub fn thread_override() -> Result<Option<usize>, String> {
+    std::env::var_os(THREADS_ENV_VAR).map_or(Ok(None), |value| {
+        parse_thread_override(&value.to_string_lossy())
+    })
+}
+
+fn parse_thread_override(value: &str) -> Result<Option<usize>, String> {
+    let trimmed = value.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    match trimmed.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "{THREADS_ENV_VAR} must be a positive integer, got {value:?}"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -226,11 +244,14 @@ mod tests {
 
     #[test]
     fn thread_override_parsing() {
-        assert_eq!(parse_thread_override("4"), Some(4));
-        assert_eq!(parse_thread_override(" 16 "), Some(16));
-        assert_eq!(parse_thread_override("0"), None);
-        assert_eq!(parse_thread_override("many"), None);
-        assert_eq!(parse_thread_override(""), None);
+        assert_eq!(parse_thread_override("4"), Ok(Some(4)));
+        assert_eq!(parse_thread_override(" 16 "), Ok(Some(16)));
+        assert_eq!(parse_thread_override(""), Ok(None));
+        assert_eq!(parse_thread_override("  "), Ok(None));
+        for bad in ["0", "many", "-1", "2.5"] {
+            let err = parse_thread_override(bad).unwrap_err();
+            assert!(err.contains(THREADS_ENV_VAR), "{err}");
+        }
     }
 
     #[test]

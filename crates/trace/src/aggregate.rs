@@ -33,8 +33,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::histogram::Histogram;
 use crate::json::JsonObject;
-use crate::metrics::Histogram;
 use crate::record::TraceTotals;
 use crate::Sir;
 

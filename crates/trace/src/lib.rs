@@ -2,28 +2,25 @@
 //!
 //! This crate has **no dependencies** — not even on the sibling
 //! simulation crates — so every layer of the workspace can use it without
-//! cycles. It provides five pillars:
+//! cycles. It provides four pillars:
 //!
-//! * [`metrics`] — a deterministic metrics registry (counters, gauges,
-//!   fixed-bucket histograms) behind the [`MetricsSink`] trait. The no-op
-//!   sink `()` has [`MetricsSink::ENABLED`]` == false` and compiles away
-//!   entirely, so hot loops can stay instrumented for free.
 //! * [`record`] — structured run tracing: [`RunTracer`] turns per-contact
 //!   events, per-cycle SIR snapshots and a per-link traffic matrix into
 //!   JSONL with *no* wall-clock fields, making trace files byte-identical
 //!   across worker-thread counts.
 //! * [`aggregate`] — streaming run analytics: [`AggregatingSink`] folds
 //!   the same event stream into a bounded-memory [`RunAggregate`]
-//!   (delay-percentile histogram, capped link-traffic matrix, SIR curves)
-//!   with a deterministic `merge`, usable where full JSONL would not be
-//!   (megascale runs).
+//!   (delay-percentile [`Histogram`], capped link-traffic matrix, SIR
+//!   curves) with a deterministic `merge`, usable where full JSONL would
+//!   not be (megascale runs). This is the one seam for run counters.
 //! * [`invariant`] — [`InvariantChecker`] verifies protocol invariants
 //!   (SIR conservation, monotone removal, traffic consistency,
 //!   coverage ⇒ replica agreement) as a run streams by, reporting
 //!   violations instead of panicking.
 //! * [`profile`] — process-global phase profiling guarded by a single
 //!   relaxed atomic, for the engine-setup / contact-loop / end-of-cycle /
-//!   aggregation timing table behind `repro --timings`.
+//!   aggregation timing table behind `repro --timings`. This is the one
+//!   seam for wall-clock time.
 //!
 //! [`json`] is the shared hand-rolled JSON writer (the build environment
 //! is offline; there is no serde).
@@ -32,15 +29,15 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod histogram;
 pub mod invariant;
 pub mod json;
-pub mod metrics;
 pub mod profile;
 pub mod record;
 
 pub use aggregate::{AggregatingSink, LinkAggregate, LinkCell, RunAggregate, DELAY_BUCKETS};
+pub use histogram::Histogram;
 pub use invariant::{InvariantChecker, Violation};
-pub use metrics::{Histogram, MetricsSink, Registry, DEFAULT_BUCKETS};
 pub use profile::PhaseStat;
 pub use record::{RunTracer, TraceConfig, TraceTotals};
 
